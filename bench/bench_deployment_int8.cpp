@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "core/hybrid_plan.hpp"
-#include "core/quantize.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/synthetic.hpp"
@@ -60,11 +59,19 @@ int main() {
   auto [lr_img, hr_img] = corpus.image_pair(0);
 
   // --- int8 ------------------------------------------------------------------
-  core::QuantizedSesr quant(deployed, calib);
+  // The serving kInt8 path: per-channel s8 weights, calibrated per-layer
+  // activation scales, packed u8 x s8 GEMM.
   const Tensor float_out = deployed.upscale(lr_img);
-  const Tensor int8_out = quant.upscale(lr_img);
+  deployed.calibrate_int8(calib);
+  deployed.set_precision(core::InferencePrecision::kInt8);
+  const Tensor int8_out = deployed.upscale(lr_img);
+  deployed.set_precision(core::InferencePrecision::kFp32);
+  std::int64_t int8_weight_bytes = 0;
+  for (const nn::S8ConvWeights& w : deployed.s8_weights()) {
+    int8_weight_bytes += static_cast<std::int64_t>(w.values.size());
+  }
   std::printf("int8 weights: %lld bytes (float: %lld)\n",
-              static_cast<long long>(quant.weight_bytes()),
+              static_cast<long long>(int8_weight_bytes),
               static_cast<long long>(deployed.parameter_count() * 4));
   std::printf("PSNR vs ground truth:  float %.2f dB   int8 %.2f dB   (delta %+.3f dB)\n",
               metrics::psnr_shaved(float_out, hr_img, 2),
@@ -87,15 +94,12 @@ int main() {
               metrics::psnr_shaved(fp16_out, hr_img, 2), fp16_delta);
   std::printf("fp16-vs-float agreement: %.1f dB\n\n", metrics::psnr(fp16_out, float_out));
 
-  // --- native int8 / hybrid serving path -------------------------------------
-  // The serving-path counterpart of the legacy QuantizedSesr study above:
-  // calibrated per-tensor activation scales, per-channel s8 weights, and the
-  // packed u8 x s8 GEMM behind SesrInference::set_precision. Two bars ride in
-  // the JSON rows:
+  // --- int8 / hybrid speed --------------------------------------------------
+  // The calibrated network above, per precision, behind
+  // SesrInference::set_precision. Two bars ride in the JSON rows:
   //   int8  — full-frame single-thread SESR-M5 x2 >= 1.8x fp32;
   //   hybrid — planner-reported Y-PSNR drop <= 0.3 dB at the default budget.
   bench::BenchJson json("deployment_int8");
-  deployed.calibrate_int8(calib);
   std::vector<Tensor> plan_lr;
   std::vector<Tensor> plan_hr;
   for (std::size_t i = 0; i < std::min<std::size_t>(3, corpus.size()); ++i) {

@@ -18,7 +18,8 @@
 #include "check/compare.hpp"
 #include "check/reference.hpp"
 #include "core/collapse.hpp"
-#include "core/quantize.hpp"
+#include "core/plan/execution_plan.hpp"
+#include "core/plan/planned_executor.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/streaming.hpp"
@@ -327,43 +328,6 @@ TrialResult collapse_trial(std::uint64_t seed) {
   return r;
 }
 
-// ---------------------------------------------------------------- int8 pairs
-
-TrialResult conv2d_int8_trial(std::uint64_t seed) {
-  TrialResult r;
-  Rng rng(seed);
-  const std::int64_t kk = 2 * rng.uniform_int(1, 2) + 1;  // 3, 5
-  const std::int64_t h = rng.uniform_int(4, 24);
-  const std::int64_t w = rng.uniform_int(4, 24);
-  const std::int64_t in_c = rng.uniform_int(1, 8);
-  const std::int64_t out_c = rng.uniform_int(1, 8);
-  // Every few trials hit the degenerate-range convention: all-zero or
-  // near-zero inputs must quantize with scale kDegenerateQuantScale and
-  // dequantize exactly (the unified convention of src/core/quantize.hpp).
-  const std::int64_t mode = rng.uniform_int(0, 3);
-  Tensor input(1, h, w, in_c);
-  const char* regime = "dense";
-  if (mode == 0) {
-    regime = "zero";
-  } else if (mode == 1) {
-    input.fill_uniform(rng, -1e-20F, 1e-20F);
-    regime = "near-zero";
-  } else {
-    input.fill_uniform(rng, -1.0F, 1.0F);
-  }
-  const Tensor weight = random_tensor(rng, kk, kk, in_c, out_c);
-  const core::QuantizedTensor qi = core::quantize_symmetric(input);
-  const core::QuantizedTensor qw = core::quantize_symmetric(weight);
-  const Tensor got = core::conv2d_int8(qi, qw);
-  const DTensor want = ref_conv2d_int8(qi, qw);
-  r.stats = compare_f32(got.data(), want.data);
-  r.output_hash = hash_bits(got.data());
-  std::ostringstream os;
-  os << "in=" << shape_str(input.shape()) << " k=" << kk << " " << regime;
-  r.detail = os.str();
-  return r;
-}
-
 // ----------------------------------------------------------- network pairs
 
 core::SesrConfig small_config(Rng& rng) {
@@ -378,26 +342,31 @@ core::SesrConfig small_config(Rng& rng) {
   return config;
 }
 
-TrialResult quantized_sesr_trial(std::uint64_t seed) {
+// The serving kInt8 network vs its exact replay built on ref_conv2d_s8
+// (int64 accumulation, identical epilogue and float glue). Zero tolerance:
+// the planned int8 forward must match the reference bit for bit.
+TrialResult int8_network_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
-  const core::SesrConfig config = small_config(rng);
+  core::SesrConfig config = small_config(rng);
+  config.m = rng.uniform_int(0, 3);
+  config.with_bias = rng.bernoulli(0.5);
   Rng init = rng.fork();
   const core::SesrNetwork network(config, init);
-  const core::SesrInference inference(network);
+  core::SesrInference inference(network);
   std::vector<Tensor> calibration;
   const std::int64_t n_cal = rng.uniform_int(1, 2);
   for (std::int64_t i = 0; i < n_cal; ++i) {
     calibration.push_back(random_tensor(rng, 1, 12, 12, 1, 0.0F, 1.0F));
   }
-  const core::QuantizedSesr quantized(inference, calibration);
+  inference.calibrate_int8(calibration);
+  inference.set_precision(core::InferencePrecision::kInt8);
   const std::int64_t h = rng.uniform_int(6, 16);
   const std::int64_t w = rng.uniform_int(6, 16);
   const Tensor input = random_tensor(rng, 1, h, w, 1, 0.0F, 1.0F);
-  const Tensor got = quantized.upscale(input);
-  const Tensor want = ref_quantized_upscale(quantized, input);
-  const DTensor want_d = to_dtensor(want);
-  r.stats = compare_f32(got.data(), want_d.data);
+  const Tensor got = inference.upscale(input);
+  const Tensor want = ref_int8_upscale(inference, input);
+  r.stats = compare_f32(got.data(), to_dtensor(want).data);
   r.output_hash = hash_bits(got.data());
   std::ostringstream os;
   os << "in=" << shape_str(input.shape()) << " " << config.describe();
@@ -681,16 +650,25 @@ TrialResult video_delta_vs_full_trial(std::uint64_t seed) {
 
 // -------------------------------------------------- planned-executor pair
 
-// The compiled execution plan must be BIT-IDENTICAL to the direct per-layer
-// path it replaced: the plan only changes where intermediate bytes live (one
-// packed arena instead of per-layer tensors), never the kernel sequence or
-// the arithmetic. The trial draws a random config — including m = 0, whose
-// fused long residual degenerates to an in-place doubling, and biased
-// checkpoints — a random precision, and a random execution regime (single
-// frame, micro-batch, exact-halo tiled, plan-cache churn across 9+ shapes),
-// and compares against the same network with set_use_plan(false) with zero
-// tolerance.
-TrialResult planned_vs_direct_trial(std::uint64_t seed) {
+// The same plan interpreter over ExecutionPlan::unshared(), where every value
+// owns its arena slot, in a fresh executor: nothing is shared or stale.
+Tensor unshared_upscale(const core::SesrInference& net, const Tensor& input) {
+  const Shape& s = input.shape();
+  const core::plan::ExecutionPlan plan =
+      core::plan::ExecutionPlan::compile(net, net.precision(), s.h(), s.w()).unshared();
+  Tensor out(s.n(), s.h() * net.config().scale, s.w() * net.config().scale, 1);
+  core::plan::PlannedExecutor().run(plan, net, input, out);
+  return out;
+}
+
+// The packed plan must be BIT-IDENTICAL to the same steps over the unshared
+// layout: the memory planner only changes where intermediate bytes live,
+// never the kernel sequence or the arithmetic. The trial draws a random
+// config — including m = 0, whose fused long residual degenerates to an
+// in-place doubling, and biased checkpoints — a random precision, and a
+// random execution regime (single frame, micro-batch, exact-halo tiled,
+// plan-cache churn across 9+ shapes), with zero tolerance.
+TrialResult planned_vs_unshared_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
   core::SesrConfig config;
@@ -713,8 +691,6 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
       core::InferencePrecision::kFp32, core::InferencePrecision::kFp16,
       core::InferencePrecision::kInt8, core::InferencePrecision::kHybrid};
   planned.set_precision(precisions[rng.uniform_int(0, 3)]);
-  core::SesrInference direct = planned;
-  direct.set_use_plan(false);
 
   const std::int64_t regime = rng.uniform_int(0, 3);
   const std::int64_t n = regime == 1 ? rng.uniform_int(2, 4) : 1;
@@ -730,25 +706,31 @@ TrialResult planned_vs_direct_trial(std::uint64_t seed) {
     topts.tile_w = rng.uniform_int(1, 16);
     topts.halo = core::receptive_field_radius(planned);
     got = core::upscale_tiled(planned, input, topts);
-    want = core::upscale_tiled(direct, input, topts);
+    const std::int64_t scale = config.scale;
+    want = Tensor(1, h * scale, w * scale, 1);
+    for (const core::TileTask& task : core::tile_grid(h, w, topts, topts.halo)) {
+      const Tensor up = unshared_upscale(
+          planned, crop_spatial(input, task.hy0, task.hx0, task.hh, task.hw));
+      core::paste_tile(want,
+                       crop_spatial(up, (task.y0 - task.hy0) * scale,
+                                    (task.x0 - task.hx0) * scale, task.th * scale,
+                                    task.tw * scale),
+                       task, scale);
+    }
     os << "tiled tile=" << topts.tile_h << "x" << topts.tile_w;
-  } else if (regime == 3) {
-    // Churn the bounded plan cache past its capacity so the comparison runs
-    // on a freshly recompiled (post-eviction) plan, not the warm one.
-    for (std::int64_t i = 0; i < 9; ++i) {
-      const Tensor filler = random_tensor(rng, 1, 4 + i, 4, 1, 0.0F, 1.0F);
-      got = planned.upscale(filler);
+  } else {
+    if (regime == 3) {
+      // Churn the bounded plan cache past its capacity so the comparison
+      // runs on a freshly recompiled (post-eviction) plan, not the warm one.
+      for (std::int64_t i = 0; i < 9; ++i) {
+        got = planned.upscale(random_tensor(rng, 1, 4 + i, 4, 1, 0.0F, 1.0F));
+      }
     }
     got = planned.upscale(input);
-    want = direct.upscale(input);
-    os << "cache-churn";
-  } else {  // single frame / stacked micro-batch
-    got = planned.upscale(input);
-    want = direct.upscale(input);
-    os << (regime == 1 ? "batch" : "full");
+    want = unshared_upscale(planned, input);
+    os << (regime == 3 ? "cache-churn" : regime == 1 ? "batch" : "full");
   }
-  const DTensor want_d = to_dtensor(want);
-  r.stats = compare_f32(got.data(), want_d.data);
+  r.stats = compare_f32(got.data(), to_dtensor(want).data);
   r.output_hash = hash_bits(got.data());
   os << " in=" << shape_str(input.shape()) << " prec=" << static_cast<int>(planned.precision())
      << " " << config.describe();
@@ -1064,13 +1046,10 @@ std::vector<AuditPair> make_builtin_pairs() {
   pairs.push_back({"collapse_linear_block",
                    "collapsed kernel vs expanded chain run in double (Algorithm 1)", 5e-4, 512.0,
                    collapse_trial});
-  pairs.push_back({"conv2d_int8",
-                   "int8 conv, int32 accumulation, vs exact int64 reference (incl. "
-                   "zero/near-zero calibration)",
-                   1e-6, 4.0, conv2d_int8_trial});
-  pairs.push_back({"quantized_sesr",
-                   "full quantized pipeline vs bit-accurate int64-accumulated replay", 0.0, 0.0,
-                   quantized_sesr_trial});
+  pairs.push_back({"int8_network_vs_ref",
+                   "planned kInt8 network vs exact replay built on ref_conv2d_s8 (int64 "
+                   "accumulation; must be bit-exact)",
+                   0.0, 0.0, int8_network_trial});
   pairs.push_back({"gemm_s8_generic",
                    "packed u8 x s8 GEMM, scalar micro-kernel, vs exact int64 reference", 0.0, 0.0,
                    [](std::uint64_t s) {
@@ -1112,11 +1091,11 @@ std::vector<AuditPair> make_builtin_pairs() {
                    "video-session tile-delta output vs full re-upscale of every frame (all exec "
                    "modes, all four precisions; must be bit-exact)",
                    0.0, 0.0, video_delta_vs_full_trial});
-  pairs.push_back({"planned_vs_direct",
-                   "compiled execution plan (fused steps, packed arena) vs the direct per-layer "
-                   "path (all four precisions; frame/batch/tiled/cache-churn regimes; must be "
+  pairs.push_back({"planned_vs_unshared",
+                   "packed execution plan vs the same interpreter with every value in its own "
+                   "slot (all four precisions; frame/batch/tiled/cache-churn regimes; must be "
                    "bit-exact)",
-                   0.0, 0.0, planned_vs_direct_trial});
+                   0.0, 0.0, planned_vs_unshared_trial});
   pairs.push_back({"fp16_roundtrip_scalar",
                    "fp32->fp16->fp32 round trip, scalar kernels, vs scalar reference (exact)",
                    0.0, 0.0, [](std::uint64_t s) {

@@ -20,15 +20,15 @@ std::vector<CollapsedConv> collapse_pass(const SesrNetwork& network) {
   return convs;
 }
 
-ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h,
-                                     std::int64_t lr_w) {
+ExecutionPlan ExecutionPlan::compile(const SesrInference& net, InferencePrecision precision,
+                                     std::int64_t lr_h, std::int64_t lr_w) {
   const hw::NetworkIr ir = hw::sesr_ir(net.config(), lr_h, lr_w);
   std::vector<PlanOp> ops = lower_and_fuse(ir);
 
   ExecutionPlan plan;
   plan.lr_h_ = lr_h;
   plan.lr_w_ = lr_w;
-  plan.precision_ = net.precision();
+  plan.precision_ = precision;
   const int n_steps = static_cast<int>(ops.size());
 
   // Value ids are original lowered-op indices; remap to dense PlanValue
@@ -43,8 +43,10 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
     vmap[static_cast<std::size_t>(ops[s].output)] = static_cast<int>(plan.values_.size());
     plan.values_.push_back(v);
   }
+  int input_last_use = 0;
   for (int s = 0; s < n_steps; ++s) {
     const auto remap = [&](int& ref) {
+      if (ref == kInputValue) input_last_use = std::max(input_last_use, s);
       if (ref < 0) return;  // kInputValue stays symbolic
       ref = vmap[static_cast<std::size_t>(ref)];
       if (ref == kNoValue) {
@@ -63,10 +65,28 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
     if (ops[s].kind == hw::OpKind::kConv) last_conv_step = s;
   }
 
+  // Per-conv kernels: uniform for the three single-precision routes, the
+  // stored per-layer assignment for kHybrid.
+  const auto kernel_for = [&](int conv_index) {
+    switch (precision) {
+      case InferencePrecision::kFp32:
+        return StepKernel::kFp32;
+      case InferencePrecision::kFp16:
+        return StepKernel::kFp16;
+      case InferencePrecision::kInt8:
+        return StepKernel::kS8;
+      case InferencePrecision::kHybrid:
+        break;
+    }
+    return net.hybrid_plan().at(static_cast<std::size_t>(conv_index)) == LayerPrecision::kInt8
+               ? StepKernel::kS8
+               : StepKernel::kFp16;
+  };
   plan.steps_.reserve(ops.size());
   for (int s = 0; s < n_steps; ++s) {
     PlanStep step;
     step.op = std::move(ops[s]);
+    if (step.op.kind == hw::OpKind::kConv) step.kernel = kernel_for(step.op.conv_index);
     plan.steps_.push_back(std::move(step));
   }
 
@@ -80,46 +100,46 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
     return static_cast<int>(plan.values_.size()) - 1;
   };
 
-  // Precision-specific storage spaces and staging values, mirroring the
-  // legacy per-precision paths exactly.
-  if (plan.precision_ == InferencePrecision::kFp16) {
-    // Inter-conv activations are stored as binary16; the last conv's fp32
-    // accumulator (and everything after it) stays float.
+  // Storage: kFp16 rounds the input to binary16 once and stores every
+  // inter-conv activation as binary16; the last conv's fp32 accumulator (and
+  // everything after it) stays float. Every other route keeps the carrier.
+  const std::int64_t input_elements = ir.input_h * ir.input_w * ir.input_c;
+  if (precision == InferencePrecision::kFp16) {
     for (int s = 0; s < n_steps; ++s) {
       const PlanOp& op = plan.steps_[static_cast<std::size_t>(s)].op;
       if (op.kind == hw::OpKind::kConv && s != last_conv_step) {
         plan.values_[static_cast<std::size_t>(op.output)].space = ValueSpace::kHalf;
       }
     }
-    // The input is rounded to binary16 once and stays live as long as any
-    // step (conv input or input residual) still reads it.
-    int input_last_use = 0;
-    int residual_step = kNoValue;
-    for (int s = 0; s < n_steps; ++s) {
-      const PlanOp& op = plan.steps_[static_cast<std::size_t>(s)].op;
-      if (op.input == kInputValue) input_last_use = std::max(input_last_use, s);
-      if (op.skip == kInputValue) {
-        input_last_use = std::max(input_last_use, s);
-        residual_step = std::max(residual_step, s);
-      }
-    }
-    const std::int64_t input_elements = ir.input_h * ir.input_w * ir.input_c;
     plan.input_half_value_ = add_value(input_elements, ValueSpace::kHalf, 0, input_last_use);
-    if (residual_step != kNoValue) {
-      // Step-local float widening of the rounded input for the residual add.
-      plan.input_float_value_ =
-          add_value(input_elements, ValueSpace::kFloat, residual_step, residual_step);
+  }
+
+  // Staging follows from the kernels and spaces: an fp16 kernel reading the
+  // carrier stages its input through binary16, a binary16 skip added to an
+  // fp32 output widens first, and an fp16 kernel storing to the carrier rounds
+  // its output once (except the network's final accumulator).
+  const auto space_of = [&](int value) {
+    if (value == kInputValue) {
+      return plan.input_half_value_ == kNoValue ? ValueSpace::kFloat : ValueSpace::kHalf;
     }
-  } else if (plan.precision_ == InferencePrecision::kHybrid) {
-    // Each fp16 layer stages its fp32 carrier input through binary16.
-    const std::vector<LayerPrecision>& layer_plan = net.hybrid_plan();
-    for (int s = 0; s < n_steps; ++s) {
-      PlanStep& step = plan.steps_[static_cast<std::size_t>(s)];
-      if (step.op.kind != hw::OpKind::kConv) continue;
-      if (layer_plan.at(static_cast<std::size_t>(step.op.conv_index)) != LayerPrecision::kFp16) {
-        continue;
+    return plan.values_[static_cast<std::size_t>(value)].space;
+  };
+  for (int s = 0; s < n_steps; ++s) {
+    PlanStep& step = plan.steps_[static_cast<std::size_t>(s)];
+    if (step.op.kind != hw::OpKind::kConv) continue;
+    const bool float_out = space_of(step.op.output) == ValueSpace::kFloat;
+    if (step.kernel == StepKernel::kFp16) {
+      if (space_of(step.op.input) == ValueSpace::kFloat) {
+        step.stage = add_value(step.op.input_elements(), ValueSpace::kHalf, s, s);
       }
-      step.stage = add_value(step.op.input_elements(), ValueSpace::kHalf, s, s);
+      step.round_output = float_out && s != last_conv_step;
+    }
+    if (step.op.skip != kNoValue && float_out && space_of(step.op.skip) == ValueSpace::kHalf) {
+      const std::int64_t skip_elements =
+          step.op.skip == kInputValue
+              ? input_elements
+              : plan.values_[static_cast<std::size_t>(step.op.skip)].elements;
+      step.widen = add_value(skip_elements, ValueSpace::kFloat, s, s);
     }
   }
 
@@ -153,6 +173,20 @@ ExecutionPlan ExecutionPlan::compile(const SesrInference& net, std::int64_t lr_h
   };
   plan.float_arena_elements_ = pack(ValueSpace::kFloat);
   plan.half_arena_elements_ = pack(ValueSpace::kHalf);
+  return plan;
+}
+
+ExecutionPlan ExecutionPlan::unshared() const {
+  ExecutionPlan plan = *this;
+  plan.float_arena_elements_ = 0;
+  plan.half_arena_elements_ = 0;
+  for (PlanValue& v : plan.values_) {
+    if (v.external) continue;
+    std::int64_t& arena = v.space == ValueSpace::kHalf ? plan.half_arena_elements_
+                                                        : plan.float_arena_elements_;
+    v.offset = arena;
+    arena += v.elements;
+  }
   return plan;
 }
 

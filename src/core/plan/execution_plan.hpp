@@ -1,18 +1,18 @@
 // Compiled execution plan: fused steps + a static activation memory plan.
 //
-// compile() runs the whole pipeline for one network at one input shape:
-// build the IR, lower and fuse it (passes.hpp), assign every surviving value
-// a storage space for the requested precision (fp32 carrier or binary16),
-// derive live intervals, and let the memory planner pack each space into one
-// flat arena. The result is a closed-form recipe the planned executor
-// replays: for each step, which kernel, which weights, and the exact arena
-// offsets of its operands. No allocation decisions remain at run time.
+// compile() runs the whole pipeline for one network at one input shape and
+// one precision: build the IR, lower and fuse it (passes.hpp), write each conv
+// step's kernel (fp32, fp16 or s8) and the storage space (fp32 carrier or
+// binary16) of every value, add the staging values those choices need, derive
+// live intervals, and let the memory planner pack each space into one flat
+// arena. The result is a closed-form recipe the planned executor replays: for
+// each step, which kernel, which weights, and the exact arena offsets of its
+// operands. No allocation or precision decisions remain at run time.
 //
-// Precision changes which values are stored as binary16 (and adds staging
-// values), never the step list: the fp16 path stores inter-conv activations
-// as half, the hybrid path stages each fp16 layer's input through a
-// step-local half value, and int8 runs entirely on the fp32 carrier — all
-// mirroring the legacy per-precision upscale paths kernel for kernel.
+// Precision changes the per-step kernels and which values are stored as
+// binary16, never the step list. kFp32, kInt8 and kHybrid keep every value on
+// the fp32 carrier; kFp16 stores the input and the inter-conv activations as
+// binary16, so its input residual adds the binary16-rounded input.
 //
 // Every value's size is channels x pixels, so the whole plan scales linearly
 // and exactly with the LR pixel count: footprint() returns per-pixel
@@ -45,12 +45,21 @@ struct PlanValue {
   bool external = false;    // the network output: caller's buffer, not arena
 };
 
+// The arithmetic a conv step runs. kFp32: fp32 GEMM. kFp16: binary16
+// operands, fp32 accumulation. kS8: u8 x s8 GEMM that quantizes its fp32
+// input in the A-pack with the calibrated per-layer scale.
+enum class StepKernel : std::uint8_t { kFp32, kFp16, kS8 };
+
 // One executor step. The op's input/skip/output fields are rewritten to
-// PlanValue indices (kInputValue still means the caller's input tensor).
+// PlanValue indices (kInputValue still means the network input, which lives
+// in the caller's tensor or, when input_half_value() is set, in that value).
 struct PlanStep {
   PlanOp op;
+  StepKernel kernel = StepKernel::kFp32;  // conv steps only
+  int stage = kNoValue;  // binary16 copy of an fp32 input for a kFp16 kernel
+  int widen = kNoValue;  // fp32 copy of a binary16 skip added to an fp32 output
+  bool round_output = false;  // fp32 output rounded once through binary16
   std::vector<int> temps;  // shuffle-chain intermediates, in chain order
-  int stage = kNoValue;    // hybrid: half staging value for this conv's input
 };
 
 // Exact per-LR-pixel arena coefficients of a compiled route.
@@ -65,9 +74,15 @@ struct PlanFootprint {
 
 class ExecutionPlan {
  public:
-  // Compiles for the network's current precision (int8/hybrid state must
-  // already be present, as set_precision enforces).
-  static ExecutionPlan compile(const SesrInference& net, std::int64_t lr_h, std::int64_t lr_w);
+  // Compiles for `precision` (int8/hybrid state must already be present, as
+  // set_precision enforces; fp16 kernels read the network's fp16 weights).
+  static ExecutionPlan compile(const SesrInference& net, InferencePrecision precision,
+                               std::int64_t lr_h, std::int64_t lr_w);
+
+  // The same steps over a layout where every value gets its own arena slot:
+  // nothing is shared, so comparing it with the packed plan isolates buffer
+  // placement from arithmetic.
+  ExecutionPlan unshared() const;
 
   const std::vector<PlanStep>& steps() const { return steps_; }
   const std::vector<PlanValue>& values() const { return values_; }
@@ -83,10 +98,9 @@ class ExecutionPlan {
            half_arena_elements_ * 2;
   }
 
-  // fp16 only: the rounded input staging value, and (when the input residual
-  // is on) the float scratch its fp32 widening lands in. kNoValue otherwise.
+  // The binary16 value the network input is rounded into before the first
+  // step, or kNoValue when steps read the caller's fp32 input in place.
   int input_half_value() const { return input_half_value_; }
-  int input_float_value() const { return input_float_value_; }
 
   // Per-pixel coefficients; exact because every value size and offset is a
   // multiple of the LR pixel count (throws if that invariant ever breaks).
@@ -101,7 +115,6 @@ class ExecutionPlan {
   std::int64_t lr_w_ = 0;
   InferencePrecision precision_ = InferencePrecision::kFp32;
   int input_half_value_ = kNoValue;
-  int input_float_value_ = kNoValue;
 };
 
 }  // namespace sesr::core::plan

@@ -18,11 +18,12 @@ const Tensor* bias_ptr(const CollapsedConv& c) { return c.bias ? &*c.bias : null
 
 }  // namespace
 
-const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::int64_t lr_h,
+const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net,
+                                               InferencePrecision precision, std::int64_t lr_h,
                                                std::int64_t lr_w) {
   for (CachedPlan& cached : plans_) {
     if (cached.plan.lr_h() == lr_h && cached.plan.lr_w() == lr_w &&
-        cached.plan.precision() == net.precision()) {
+        cached.plan.precision() == precision) {
       cached.stamp = ++stamp_;
       return cached.plan;
     }
@@ -33,13 +34,13 @@ const ExecutionPlan& PlannedExecutor::plan_for(const SesrInference& net, std::in
         [](const CachedPlan& a, const CachedPlan& b) { return a.stamp < b.stamp; });
     plans_.erase(lru);
   }
-  plans_.push_back(CachedPlan{ExecutionPlan::compile(net, lr_h, lr_w), ++stamp_});
+  plans_.push_back(CachedPlan{ExecutionPlan::compile(net, precision, lr_h, lr_w), ++stamp_});
   return plans_.back().plan;
 }
 
 PlanFootprint PlannedExecutor::footprint(const SesrInference& net) {
   // Any probe shape gives the exact coefficients; 16x16 keeps compile cheap.
-  return plan_for(net, 16, 16).footprint();
+  return plan_for(net, net.precision(), 16, 16).footprint();
 }
 
 std::int64_t PlannedExecutor::arena_bytes() const {
@@ -83,30 +84,8 @@ fp16::Half* PlannedExecutor::half_ptr(const ExecutionPlan& p, int value, std::in
 }
 
 void PlannedExecutor::run(const SesrInference& net, const Tensor& input, Tensor& output) {
-  const Shape& in_shape = input.shape();
-  const ExecutionPlan& p = plan_for(net, in_shape.h(), in_shape.w());
-  const std::int64_t batch = in_shape.n();
-  const PlanStep& final_step = p.steps().back();
-  if (output.numel() != final_step.op.output_elements() * batch) {
-    throw std::invalid_argument("PlannedExecutor::run: output tensor has the wrong shape");
-  }
-  const auto f_need = static_cast<std::size_t>(p.float_arena_elements() * batch);
-  const auto h_need = static_cast<std::size_t>(p.half_arena_elements() * batch);
-  if (float_arena_.size() < f_need) float_arena_.resize(f_need);
-  if (half_arena_.size() < h_need) half_arena_.resize(h_need);
-
-  switch (p.precision()) {
-    case InferencePrecision::kFp32:
-      run_fp32(p, net, input, output);
-      break;
-    case InferencePrecision::kFp16:
-      run_fp16(p, net, input, output);
-      break;
-    case InferencePrecision::kInt8:
-    case InferencePrecision::kHybrid:
-      run_mixed(p, net, input, output);
-      break;
-  }
+  const Shape& s = input.shape();
+  run(plan_for(net, net.precision(), s.h(), s.w()), net, input, output);
 }
 
 void PlannedExecutor::run_shuffle(const ExecutionPlan& p, const PlanStep& step, const float* in,
@@ -124,134 +103,113 @@ void PlannedExecutor::run_shuffle(const ExecutionPlan& p, const PlanStep& step, 
   }
 }
 
-void PlannedExecutor::run_fp32(const ExecutionPlan& p, const SesrInference& net,
-                               const Tensor& input, Tensor& output) {
+void PlannedExecutor::run(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
+                          Tensor& output, const ConvObserver* observe) {
   const std::int64_t batch = input.shape().n();
-  for (const PlanStep& step : p.steps()) {
-    const PlanOp& op = step.op;
-    const float* in =
-        op.input == kInputValue ? input.raw() : float_ptr(p, op.input, batch, output);
-    if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, in, batch, output);
-      continue;
-    }
-    if (op.kind != hw::OpKind::kConv) {
-      throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
-    }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    float* out = float_ptr(p, op.output, batch, output);
-    if (op.act_index >= 0) {
-      const nn::Epilogue epi = net.activation_epilogue(static_cast<std::size_t>(op.act_index));
-      nn::conv2d_into(in, in_shape, c.weight, bias_ptr(c), &epi, nn::Padding::kSame, out);
-    } else {
-      // The legacy path's conv2d_bias / conv2d dispatch, bit for bit.
-      nn::conv2d_into(in, in_shape, c.weight, bias_ptr(c), nullptr, nn::Padding::kSame, out);
-    }
-    if (op.skip != kNoValue) {
-      const std::int64_t elems = op.output_elements() * batch;
-      if (op.skip == kInputValue) {
-        add_input_residual(out, input.raw(), elems / op.out_c, op.out_c);
-      } else {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
-      }
-    }
+  if (input.shape().h() != p.lr_h() || input.shape().w() != p.lr_w()) {
+    throw std::invalid_argument("PlannedExecutor::run: plan compiled for another shape");
   }
-}
+  if (output.numel() != p.steps().back().op.output_elements() * batch) {
+    throw std::invalid_argument("PlannedExecutor::run: output tensor has the wrong shape");
+  }
+  const auto f_need = static_cast<std::size_t>(p.float_arena_elements() * batch);
+  const auto h_need = static_cast<std::size_t>(p.half_arena_elements() * batch);
+  if (float_arena_.size() < f_need) float_arena_.resize(f_need);
+  if (half_arena_.size() < h_need) half_arena_.resize(h_need);
 
-void PlannedExecutor::run_fp16(const ExecutionPlan& p, const SesrInference& net,
-                               const Tensor& input, Tensor& output) {
-  const std::int64_t batch = input.shape().n();
-  fp16::Half* x_half = half_ptr(p, p.input_half_value(), batch);
-  fp16::convert_to_half(input.raw(), x_half, input.numel());
+  // Operand views: kInputValue is the caller's fp32 input, or its binary16
+  // copy when the plan stages the input.
+  const auto is_half = [&](int value) {
+    return value == kInputValue
+               ? p.input_half_value() != kNoValue
+               : p.values()[static_cast<std::size_t>(value)].space == ValueSpace::kHalf;
+  };
+  const auto floats = [&](int value) -> const float* {
+    return value == kInputValue ? input.raw() : float_ptr(p, value, batch, output);
+  };
+  const auto halves = [&](int value) {
+    return half_ptr(p, value == kInputValue ? p.input_half_value() : value, batch);
+  };
+  if (p.input_half_value() != kNoValue) {
+    fp16::convert_to_half(input.raw(), halves(kInputValue), input.numel());
+  }
+
   for (const PlanStep& step : p.steps()) {
     const PlanOp& op = step.op;
     if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, float_ptr(p, op.input, batch, output), batch, output);
+      run_shuffle(p, step, floats(op.input), batch, output);
       continue;
     }
     if (op.kind != hw::OpKind::kConv) {
       throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
     }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const fp16::HalfTensor& w = net.fp16_weights()[static_cast<std::size_t>(op.conv_index)];
+    const auto ci = static_cast<std::size_t>(op.conv_index);
+    const CollapsedConv& c = net.convolutions()[ci];
     const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    const fp16::Half* in = op.input == kInputValue ? x_half : half_ptr(p, op.input, batch);
-    const nn::Epilogue epi = op.act_index >= 0
-                                 ? net.activation_epilogue(static_cast<std::size_t>(op.act_index))
-                                 : nn::Epilogue{};
+    const std::int64_t in_elems = op.input_elements() * batch;
     const std::int64_t elems = op.output_elements() * batch;
-    if (p.values()[static_cast<std::size_t>(op.output)].space == ValueSpace::kHalf) {
-      fp16::Half* out = half_ptr(p, op.output, batch);
-      nn::conv2d_fp16_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.skip != kNoValue) {
-        const fp16::Half* skip =
-            op.skip == kInputValue ? x_half : half_ptr(p, op.skip, batch);
-        fp16::add_inplace(out, skip, elems);
-      }
-    } else {
-      // The last conv: fp32 accumulator output, residual added in fp32 on the
-      // once-rounded input (exactly upscale_fp16's tail).
-      float* out = float_ptr(p, op.output, batch, output);
-      nn::conv2d_fp16_to_float_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.skip == kInputValue) {
-        float* x_float = float_ptr(p, p.input_float_value(), batch, output);
-        fp16::convert_to_float(x_half, x_float, input.numel());
-        add_input_residual(out, x_float, elems / op.out_c, op.out_c);
-      } else if (op.skip != kNoValue) {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
-      }
-    }
-  }
-}
-
-void PlannedExecutor::run_mixed(const ExecutionPlan& p, const SesrInference& net,
-                                const Tensor& input, Tensor& output) {
-  const std::int64_t batch = input.shape().n();
-  const bool pure_int8 = p.precision() == InferencePrecision::kInt8;
-  const auto n_convs = static_cast<int>(net.convolutions().size());
-  for (const PlanStep& step : p.steps()) {
-    const PlanOp& op = step.op;
-    const float* in =
-        op.input == kInputValue ? input.raw() : float_ptr(p, op.input, batch, output);
-    if (op.kind == hw::OpKind::kDepthToSpace) {
-      run_shuffle(p, step, in, batch, output);
-      continue;
-    }
-    if (op.kind != hw::OpKind::kConv) {
-      throw std::logic_error("PlannedExecutor: unfused op survived the pass pipeline");
-    }
-    const CollapsedConv& c = net.convolutions()[static_cast<std::size_t>(op.conv_index)];
-    const Shape in_shape(batch, op.in_h, op.in_w, op.in_c);
-    float* out = float_ptr(p, op.output, batch, output);
     const nn::Epilogue epi = op.act_index >= 0
                                  ? net.activation_epilogue(static_cast<std::size_t>(op.act_index))
                                  : nn::Epilogue{};
-    const bool is_int8 =
-        pure_int8 ||
-        net.hybrid_plan()[static_cast<std::size_t>(op.conv_index)] == LayerPrecision::kInt8;
-    if (is_int8) {
-      nn::conv2d_s8_into(in, in_shape, net.activation_scales()[static_cast<std::size_t>(
-                                           op.conv_index)],
-                         net.s8_weights()[static_cast<std::size_t>(op.conv_index)], bias_ptr(c),
-                         epi, nn::Padding::kSame, out);
-    } else {
-      fp16::Half* stage = half_ptr(p, step.stage, batch);
-      fp16::convert_to_half(in, stage, op.input_elements() * batch);
-      nn::conv2d_fp16_to_float_into(stage, in_shape,
-                                    net.fp16_weights()[static_cast<std::size_t>(op.conv_index)],
-                                    bias_ptr(c), epi, nn::Padding::kSame, out);
-      if (op.conv_index + 1 < n_convs) {
-        fp16::round_through_half(out, op.output_elements() * batch);
+    const bool half_out = is_half(op.output);
+    if (observe != nullptr) {
+      if (is_half(op.input)) {
+        throw std::logic_error("PlannedExecutor: observed conv input is not fp32");
+      }
+      (*observe)(ci, floats(op.input), in_elems);
+    }
+    switch (step.kernel) {
+      case StepKernel::kFp32:
+        nn::conv2d_into(floats(op.input), in_shape, c.weight, bias_ptr(c),
+                        op.act_index >= 0 ? &epi : nullptr, nn::Padding::kSame,
+                        float_ptr(p, op.output, batch, output));
+        break;
+      case StepKernel::kS8:
+        nn::conv2d_s8_into(floats(op.input), in_shape, net.activation_scales()[ci],
+                           net.s8_weights()[ci], bias_ptr(c), epi, nn::Padding::kSame,
+                           float_ptr(p, op.output, batch, output));
+        break;
+      case StepKernel::kFp16: {
+        const fp16::Half* in = nullptr;
+        if (step.stage == kNoValue) {
+          in = halves(op.input);
+        } else {
+          fp16::Half* stage = half_ptr(p, step.stage, batch);
+          fp16::convert_to_half(floats(op.input), stage, in_elems);
+          in = stage;
+        }
+        const fp16::HalfTensor& w = net.fp16_weights()[ci];
+        if (half_out) {
+          nn::conv2d_fp16_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame,
+                               halves(op.output));
+        } else {
+          float* out = float_ptr(p, op.output, batch, output);
+          nn::conv2d_fp16_to_float_into(in, in_shape, w, bias_ptr(c), epi, nn::Padding::kSame,
+                                        out);
+          if (step.round_output) fp16::round_through_half(out, elems);
+        }
+        break;
       }
     }
-    if (op.skip != kNoValue) {
-      const std::int64_t elems = op.output_elements() * batch;
-      if (op.skip == kInputValue) {
-        add_input_residual(out, input.raw(), elems / op.out_c, op.out_c);
-      } else {
-        add_inplace(out, float_ptr(p, op.skip, batch, output), elems);
-      }
+    if (op.skip == kNoValue) continue;
+    if (half_out) {
+      fp16::add_inplace(halves(op.output), halves(op.skip), elems);
+      continue;
+    }
+    float* out = float_ptr(p, op.output, batch, output);
+    const float* skip = nullptr;
+    if (step.widen == kNoValue) {
+      skip = floats(op.skip);
+    } else {
+      float* wide = float_ptr(p, step.widen, batch, output);
+      fp16::convert_to_float(halves(op.skip), wide,
+                             p.values()[static_cast<std::size_t>(step.widen)].elements * batch);
+      skip = wide;
+    }
+    if (op.skip == kInputValue) {
+      add_input_residual(out, skip, elems / op.out_c, op.out_c);
+    } else {
+      add_inplace(out, skip, elems);
     }
   }
 }

@@ -13,13 +13,16 @@
 // slices disjoint because disjointness is preserved under a common positive
 // scale factor.
 //
-// The interpreters mirror the legacy upscale / upscale_fp16 / upscale_mixed
-// paths kernel for kernel (same entry points, same epilogues, same rounding
-// steps, same op order), so planned output is bit-identical to direct output
-// in every precision — the plan changes where bytes live, never arithmetic.
+// One interpreter loop serves every precision: each conv step runs the
+// kernel the compiler wrote for it and reads and writes operands in the
+// spaces the compiler assigned, so fp32, fp16, int8 and hybrid differ only
+// in the plan. The same loop over ExecutionPlan::unshared() (every value in
+// its own slot) is the audit's reference: the packed layout changes where
+// bytes live, never arithmetic.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/plan/execution_plan.hpp"
@@ -28,16 +31,26 @@
 
 namespace sesr::core::plan {
 
+// Sees each conv's fp32 input just before the conv runs: (conv index, data,
+// element count). The int8 calibration's max-abs observer.
+using ConvObserver = std::function<void(std::size_t, const float*, std::int64_t)>;
+
 class PlannedExecutor {
  public:
   // Upscales `input` (N, H, W, 1) into `output` (N, scale*H, scale*W, 1),
-  // which must be pre-shaped. Compiles/caches the plan for (H, W) on first
-  // use; allocation-free afterwards.
+  // which must be pre-shaped, at the network's current precision. Compiles/
+  // caches the plan for (H, W) on first use; allocation-free afterwards.
   void run(const SesrInference& net, const Tensor& input, Tensor& output);
 
-  // The cached (or freshly compiled) plan for one LR shape at the network's
-  // current precision.
-  const ExecutionPlan& plan_for(const SesrInference& net, std::int64_t lr_h, std::int64_t lr_w);
+  // Interprets `plan` (compiled for `input`'s spatial shape). A non-null
+  // `observe` is called before every conv; it needs a plan whose conv
+  // inputs all live on the fp32 carrier (kFp32, kInt8).
+  void run(const ExecutionPlan& plan, const SesrInference& net, const Tensor& input,
+           Tensor& output, const ConvObserver* observe = nullptr);
+
+  // The cached (or freshly compiled) plan for one LR shape and precision.
+  const ExecutionPlan& plan_for(const SesrInference& net, InferencePrecision precision,
+                                std::int64_t lr_h, std::int64_t lr_w);
 
   // Per-pixel arena coefficients at the current precision (compiles a small
   // probe plan if none is cached).
@@ -55,8 +68,8 @@ class PlannedExecutor {
   // oversized frame inflated them).
   void trim(const SesrInference& net, std::int64_t lr_pixels);
 
-  // Drop cached plans (precision or hybrid assignment changed). Arenas keep
-  // their memory.
+  // Drop cached plans (the hybrid assignment changed). Arenas keep their
+  // memory.
   void invalidate();
 
  private:
@@ -65,12 +78,6 @@ class PlannedExecutor {
     std::uint64_t stamp = 0;  // LRU clock
   };
 
-  void run_fp32(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                Tensor& output);
-  void run_fp16(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                Tensor& output);
-  void run_mixed(const ExecutionPlan& p, const SesrInference& net, const Tensor& input,
-                 Tensor& output);
   void run_shuffle(const ExecutionPlan& p, const PlanStep& step, const float* in,
                    std::int64_t batch, Tensor& output);
   float* float_ptr(const ExecutionPlan& p, int value, std::int64_t batch, Tensor& output);

@@ -1,13 +1,11 @@
 #include "core/sesr_inference.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/plan/execution_plan.hpp"
 #include "core/plan/planned_executor.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/depth_to_space.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace sesr::core {
 
@@ -46,8 +44,6 @@ SesrConfig decode_config(const Tensor& t) {
   c.with_bias = t.raw()[6] != 0.0F;
   return c;
 }
-
-const Tensor* bias_ptr(const CollapsedConv& c) { return c.bias ? &*c.bias : nullptr; }
 }  // namespace
 
 void add_input_residual(float* out, const float* input, std::int64_t pixels,
@@ -123,8 +119,7 @@ SesrInference::SesrInference(const SesrInference& other)
       fp16_weights_(other.fp16_weights_),
       act_scales_(other.act_scales_),
       s8_weights_(other.s8_weights_),
-      plan_(other.plan_),
-      use_plan_(other.use_plan_) {}
+      plan_(other.plan_) {}
 
 SesrInference& SesrInference::operator=(const SesrInference& other) {
   if (this == &other) return *this;
@@ -136,7 +131,6 @@ SesrInference& SesrInference::operator=(const SesrInference& other) {
   act_scales_ = other.act_scales_;
   s8_weights_ = other.s8_weights_;
   plan_ = other.plan_;
-  use_plan_ = other.use_plan_;
   exec_.reset();  // the copy re-plans lazily
   return *this;
 }
@@ -146,8 +140,8 @@ SesrInference& SesrInference::operator=(SesrInference&&) noexcept = default;
 SesrInference::~SesrInference() = default;
 
 // Fused-epilogue descriptor for the activation after conv `index`: ReLU when
-// the stored alpha tensor is empty, per-channel PReLU otherwise. Applies the
-// exact same expressions as activate(), just inside the GEMM write-back.
+// the stored alpha tensor is empty, per-channel PReLU otherwise, applied
+// inside the GEMM write-back.
 nn::Epilogue SesrInference::activation_epilogue(std::size_t index) const {
   const Tensor& alpha = prelu_alpha_.at(index);
   nn::Epilogue e;
@@ -163,31 +157,7 @@ nn::Epilogue SesrInference::activation_epilogue(std::size_t index) const {
   return e;
 }
 
-Tensor SesrInference::activate(std::size_t index, const Tensor& x) const {
-  const Tensor& alpha = prelu_alpha_.at(index);
-  Tensor out(x.shape());
-  const float* pi = x.raw();
-  float* po = out.raw();
-  const std::int64_t n = x.numel();
-  if (alpha.empty()) {
-    for (std::int64_t i = 0; i < n; ++i) po[i] = pi[i] > 0.0F ? pi[i] : 0.0F;
-    return out;
-  }
-  const std::int64_t c = x.shape().c();
-  if (alpha.numel() != c) throw std::runtime_error("SesrInference: alpha/channel mismatch");
-  const float* pa = alpha.raw();
-  const std::int64_t pixels = n / c;
-  for (std::int64_t i = 0; i < pixels; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float v = pi[i * c + ch];
-      po[i * c + ch] = v > 0.0F ? v : pa[ch] * v;
-    }
-  }
-  return out;
-}
-
 Tensor SesrInference::upscale(const Tensor& input) const {
-  if (!use_plan_) return upscale_direct(input);
   const Shape& s = input.shape();
   Tensor out(s.n(), s.h() * config_.scale, s.w() * config_.scale, 1);
   upscale_into(input, out);
@@ -215,70 +185,6 @@ std::int64_t SesrInference::plan_arena_bytes() const {
   return exec_ ? exec_->arena_bytes() : 0;
 }
 
-Tensor SesrInference::upscale_direct(const Tensor& input) const {
-  if (input.shape().c() != 1) {
-    throw std::invalid_argument("SesrInference::upscale expects a single (Y) channel");
-  }
-  if (precision_ == InferencePrecision::kFp16) return upscale_fp16(input);
-  if (precision_ == InferencePrecision::kInt8 || precision_ == InferencePrecision::kHybrid) {
-    return upscale_mixed(input);
-  }
-  // Every conv except the last fuses its activation into the GEMM store
-  // (bit-identical to conv + a separate activate() pass, one less full
-  // sweep over the feature maps).
-  auto run_act_conv = [this](std::size_t i, const Tensor& x) {
-    const CollapsedConv& c = convs_[i];
-    return nn::conv2d_fused(x, c.weight, bias_ptr(c), activation_epilogue(i),
-                            nn::Padding::kSame);
-  };
-  Tensor feat = run_act_conv(0, input);
-  Tensor skip = feat;
-  for (std::size_t i = 1; i + 1 < convs_.size(); ++i) {
-    feat = run_act_conv(i, feat);
-  }
-  add_inplace(feat, skip);
-  const CollapsedConv& last = convs_.back();
-  Tensor out = last.bias ? nn::conv2d_bias(feat, last.weight, *last.bias, nn::Padding::kSame)
-                         : nn::conv2d(feat, last.weight, nn::Padding::kSame);
-  if (config_.input_residual) {
-    const std::int64_t oc = config_.output_channels();
-    add_input_residual(out.raw(), input.raw(), out.numel() / oc, oc);
-  }
-  Tensor y = nn::depth_to_space(out, 2);
-  if (config_.scale == 4) y = nn::depth_to_space(y, 2);
-  return y;
-}
-
-Tensor SesrInference::upscale_fp16(const Tensor& input) const {
-  // Input is rounded to binary16 once; from there every layer reads fp16
-  // activations, accumulates in fp32, applies bias + activation in fp32 and
-  // stores back one binary16 rounding. The tail (input residual and
-  // depth-to-space) runs on the last conv's fp32 accumulator directly.
-  fp16::HalfTensor x = fp16::HalfTensor::from_float(input);
-  auto run_act_conv = [this](std::size_t i, const fp16::HalfTensor& h) {
-    return nn::conv2d_fp16(h, fp16_weights_[i], bias_ptr(convs_[i]), activation_epilogue(i),
-                           nn::Padding::kSame);
-  };
-  fp16::HalfTensor feat = run_act_conv(0, x);
-  fp16::HalfTensor skip = feat;
-  for (std::size_t i = 1; i + 1 < convs_.size(); ++i) {
-    feat = run_act_conv(i, feat);
-  }
-  fp16::add_inplace(feat, skip);
-  Tensor out = nn::conv2d_fp16_to_float(feat, fp16_weights_.back(), bias_ptr(convs_.back()),
-                                        nn::Epilogue{}, nn::Padding::kSame);
-  if (config_.input_residual) {
-    // The fp16 path saw the rounded input, so the residual adds the same
-    // rounded values (in fp32 arithmetic, no extra rounding on the result).
-    const Tensor rounded_in = x.to_float();
-    const std::int64_t oc = config_.output_channels();
-    add_input_residual(out.raw(), rounded_in.raw(), out.numel() / oc, oc);
-  }
-  Tensor y = nn::depth_to_space(out, 2);
-  if (config_.scale == 4) y = nn::depth_to_space(y, 2);
-  return y;
-}
-
 void SesrInference::ensure_fp16_weights() {
   if (!fp16_weights_.empty()) return;
   fp16_weights_.reserve(convs_.size());
@@ -301,7 +207,6 @@ void SesrInference::set_precision(InferencePrecision precision) {
     ensure_fp16_weights();  // the plan's fp16 layers
   }
   precision_ = precision;
-  if (exec_) exec_->invalidate();
 }
 
 void SesrInference::set_hybrid_plan(std::vector<LayerPrecision> plan) {
@@ -312,36 +217,6 @@ void SesrInference::set_hybrid_plan(std::vector<LayerPrecision> plan) {
   if (exec_) exec_->invalidate();
 }
 
-Tensor SesrInference::replay_fp32(
-    const Tensor& input, const std::function<void(std::size_t, const Tensor&)>& observe) const {
-  // Mirrors upscale()'s fp32 dataflow (bias included) with an observer hook
-  // before each conv; calibration sees exactly what the quantized layers will
-  // consume at serve time, up to quantization error itself.
-  auto run_act_conv = [this](std::size_t i, const Tensor& x) {
-    return nn::conv2d_fused(x, convs_[i].weight, bias_ptr(convs_[i]), activation_epilogue(i),
-                            nn::Padding::kSame);
-  };
-  observe(0, input);
-  Tensor feat = run_act_conv(0, input);
-  Tensor skip = feat;
-  for (std::size_t i = 1; i + 1 < convs_.size(); ++i) {
-    observe(i, feat);
-    feat = run_act_conv(i, feat);
-  }
-  add_inplace(feat, skip);
-  observe(convs_.size() - 1, feat);
-  const CollapsedConv& last = convs_.back();
-  Tensor out = last.bias ? nn::conv2d_bias(feat, last.weight, *last.bias, nn::Padding::kSame)
-                         : nn::conv2d(feat, last.weight, nn::Padding::kSame);
-  if (config_.input_residual) {
-    const std::int64_t oc = config_.output_channels();
-    add_input_residual(out.raw(), input.raw(), out.numel() / oc, oc);
-  }
-  Tensor y = nn::depth_to_space(out, 2);
-  if (config_.scale == 4) y = nn::depth_to_space(y, 2);
-  return y;
-}
-
 void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
   if (frames.empty()) {
     throw std::invalid_argument("SesrInference::calibrate_int8: no calibration frames");
@@ -349,61 +224,30 @@ void SesrInference::calibrate_int8(const std::vector<Tensor>& frames) {
   s8_weights_.clear();
   s8_weights_.reserve(convs_.size());
   for (const CollapsedConv& c : convs_) s8_weights_.push_back(nn::quantize_conv_weights(c.weight));
+  // Calibration always observes the fp32 plan, so the scales do not depend
+  // on the precision currently selected. A private executor leaves the
+  // serving plan cache and arenas untouched.
+  plan::PlannedExecutor exec;
   std::vector<float> scales(convs_.size(), 0.0F);
+  const plan::ConvObserver observe = [&](std::size_t layer, const float* x, std::int64_t n) {
+    float m = 0.0F;
+    for (std::int64_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+    scales[layer] = std::max(scales[layer], m / 127.0F);
+  };
   for (const Tensor& frame : frames) {
     if (frame.shape().c() != 1) {
       throw std::invalid_argument(
           "SesrInference::calibrate_int8: calibration frames must be Y-channel");
     }
-    replay_fp32(frame, [&](std::size_t layer, const Tensor& x) {
-      scales[layer] = std::max(scales[layer], max_abs(x) / 127.0F);
-    });
+    const Shape& s = frame.shape();
+    Tensor out(s.n(), s.h() * config_.scale, s.w() * config_.scale, 1);
+    exec.run(exec.plan_for(*this, InferencePrecision::kFp32, s.h(), s.w()), *this, frame, out,
+             &observe);
   }
   for (float& s : scales) {
     if (s <= 0.0F) s = nn::kDegenerateQuantScale;
   }
   act_scales_ = std::move(scales);
-}
-
-Tensor SesrInference::upscale_mixed(const Tensor& input) const {
-  // fp32 carrier between layers: int8 layers quantize their input inside the
-  // GEMM's A-pack with the calibrated fixed scale; fp16 layers round the
-  // carrier through binary16 on the way in and round their stored output once
-  // (so an fp16 layer behaves exactly like one layer of the pure-fp16 path).
-  // The residual adds and the tail stay fp32. With a fixed per-layer scale
-  // every elementwise step commutes with cropping, so tiled and streaming
-  // execution reproduce this path bit-exactly.
-  const std::size_t n_convs = convs_.size();
-  auto layer_is_int8 = [&](std::size_t i) {
-    return precision_ == InferencePrecision::kInt8 || plan_[i] == LayerPrecision::kInt8;
-  };
-  auto run_conv = [&](std::size_t i, const Tensor& x, bool with_act) {
-    const CollapsedConv& c = convs_[i];
-    const nn::Epilogue epi = with_act ? activation_epilogue(i) : nn::Epilogue{};
-    if (layer_is_int8(i)) {
-      return nn::conv2d_s8(x, act_scales_[i], s8_weights_[i], bias_ptr(c), epi,
-                           nn::Padding::kSame);
-    }
-    const fp16::HalfTensor h = fp16::HalfTensor::from_float(x);
-    Tensor out = nn::conv2d_fp16_to_float(h, fp16_weights_[i], bias_ptr(c), epi,
-                                          nn::Padding::kSame);
-    if (i + 1 < n_convs) fp16::round_through_half(out.raw(), out.numel());
-    return out;
-  };
-  Tensor feat = run_conv(0, input, /*with_act=*/true);
-  Tensor skip = feat;
-  for (std::size_t i = 1; i + 1 < n_convs; ++i) {
-    feat = run_conv(i, feat, /*with_act=*/true);
-  }
-  add_inplace(feat, skip);
-  Tensor out = run_conv(n_convs - 1, feat, /*with_act=*/false);
-  if (config_.input_residual) {
-    const std::int64_t oc = config_.output_channels();
-    add_input_residual(out.raw(), input.raw(), out.numel() / oc, oc);
-  }
-  Tensor y = nn::depth_to_space(out, 2);
-  if (config_.scale == 4) y = nn::depth_to_space(y, 2);
-  return y;
 }
 
 std::int64_t SesrInference::parameter_count() const {

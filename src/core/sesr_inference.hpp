@@ -7,7 +7,6 @@
 // weights, forward-only — what one would ship to an NPU.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,24 +70,14 @@ class SesrInference {
 
   // Upscale a (N, H, W, 1) Y-channel tensor to (N, scale*H, scale*W, 1),
   // using the precision selected by set_precision (fp32 by default). Runs the
-  // compiled execution plan (bit-identical to upscale_direct; only buffer
-  // placement differs). Not safe for concurrent calls on one instance — the
-  // serve layer runs one replica per worker.
+  // compiled execution plan. Not safe for concurrent calls on one instance —
+  // the serve layer runs one replica per worker.
   Tensor upscale(const Tensor& input) const;
-
-  // The legacy unplanned forward: every layer allocates its output tensor.
-  // Kept as the reference the planned path is audited against.
-  Tensor upscale_direct(const Tensor& input) const;
 
   // Planned forward into a caller-owned (N, scale*H, scale*W, 1) tensor.
   // Steady state (warm plan cache, grown arenas) performs zero heap
-  // allocations. Ignores set_use_plan — this entry point is the plan.
+  // allocations.
   void upscale_into(const Tensor& input, Tensor& output) const;
-
-  // Route upscale() through the execution plan (default) or the legacy
-  // allocating path. The audit pair flips this to compare the two.
-  void set_use_plan(bool use_plan) { use_plan_ = use_plan; }
-  bool use_plan() const { return use_plan_; }
 
   // Activation-arena controls for long-lived serving workers: grow the
   // executor's arenas up front for frames up to `lr_pixels` (so steady-state
@@ -108,9 +97,10 @@ class SesrInference {
 
   // Calibrates the int8 path: quantizes every conv kernel (symmetric,
   // per-output-channel) and derives one max-abs activation scale per layer by
-  // replaying the exact fused fp32 dataflow — bias included — over the given
-  // LR Y-frames. Deterministic; the result serializes through to_tensor_map,
-  // so restored replicas inherit bit-identical scales without the frames.
+  // running the fp32 plan — bias included, whatever the current precision —
+  // over the given LR Y-frames with an observer on each conv's input.
+  // Deterministic; the result serializes through to_tensor_map, so restored
+  // replicas inherit bit-identical scales without the frames.
   void calibrate_int8(const std::vector<Tensor>& frames);
   bool int8_calibrated() const { return !act_scales_.empty(); }
   // Per-layer activation scales (m+2 entries once calibrated).
@@ -132,12 +122,8 @@ class SesrInference {
 
   const std::vector<CollapsedConv>& convolutions() const { return convs_; }
 
-  // Activation following conv `index` (0 = first conv, ..., m = last middle
-  // conv); PReLU with the stored per-channel slopes, or ReLU for the hardware
-  // variant. Exposed so derived pipelines (e.g. the int8 path) can mirror the
-  // exact float dataflow.
-  Tensor activate(std::size_t index, const Tensor& x) const;
-  // Per-activation PReLU slopes; empty tensors mean ReLU.
+  // Per-activation PReLU slopes (activation i follows conv i; the last conv
+  // has none); empty tensors mean ReLU.
   const std::vector<Tensor>& prelu_alphas() const { return prelu_alpha_; }
 
   // Fused-epilogue descriptor of activation `index` (ReLU, or PReLU with the
@@ -148,13 +134,6 @@ class SesrInference {
   const std::vector<fp16::HalfTensor>& fp16_weights() const { return fp16_weights_; }
 
  private:
-  Tensor upscale_fp16(const Tensor& input) const;
-  // kInt8 / kHybrid forward on the fp32 carrier (quantize-in-pack per layer).
-  Tensor upscale_mixed(const Tensor& input) const;
-  // Replays the fused fp32 dataflow, calling observe(layer, input) just
-  // before each conv — the calibration observer hook.
-  Tensor replay_fp32(const Tensor& input,
-                     const std::function<void(std::size_t, const Tensor&)>& observe) const;
   void ensure_fp16_weights();
 
   SesrConfig config_;
@@ -165,7 +144,6 @@ class SesrInference {
   std::vector<float> act_scales_;               // per conv; set by calibrate_int8
   std::vector<nn::S8ConvWeights> s8_weights_;   // per conv; set by calibrate_int8
   std::vector<LayerPrecision> plan_;            // per conv; set by set_hybrid_plan
-  bool use_plan_ = true;
   // Built on first planned upscale; holds compiled plans + activation arenas.
   mutable std::unique_ptr<plan::PlannedExecutor> exec_;
 };

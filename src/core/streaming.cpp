@@ -134,8 +134,8 @@ Tensor StreamingUpscaler::upscale(const Tensor& input) {
   // rounded weights, rounded input rows, one binary16 rounding per produced
   // activation row (and on the residual sum), fp32 pre-shuffle stream.
   // int8/hybrid mode keeps the fp32 carrier in the deques and quantizes (or
-  // rounds, for the plan's fp16 layers) at consumption, exactly as
-  // upscale_mixed does per layer.
+  // rounds, for the plan's fp16 layers) at consumption, exactly as the
+  // planned s8 and staged fp16 steps do per layer.
   const InferencePrecision prec = net_.precision();
   const bool fp16_mode = prec == InferencePrecision::kFp16;
   const bool mixed_mode =

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -312,23 +313,55 @@ TEST(Int8Network, CalibratedInt8StaysCloseToFp32) {
   EXPECT_GT(metrics::psnr(int8, fp32), 40.0);
 }
 
+TEST(Int8Network, CalibrationIgnoresTheCurrentPrecision) {
+  // calibrate_int8 always observes the fp32 plan: observing the selected
+  // route's plan (binary16 activations, quantized layers) would shift the
+  // scales, so recalibrating under every precision must reproduce them
+  // bit for bit.
+  core::SesrInference net = make_inference(8, small_config(/*with_bias=*/true));
+  const std::vector<Tensor> calib = make_calibration(80);
+  net.calibrate_int8(calib);
+  const std::vector<float> want = net.activation_scales();
+  std::vector<core::LayerPrecision> plan(net.convolutions().size(),
+                                         core::LayerPrecision::kFp16);
+  for (std::size_t i = 0; i < plan.size(); i += 2) plan[i] = core::LayerPrecision::kInt8;
+  net.set_hybrid_plan(plan);
+  for (const core::InferencePrecision prec :
+       {core::InferencePrecision::kFp32, core::InferencePrecision::kFp16,
+        core::InferencePrecision::kInt8, core::InferencePrecision::kHybrid}) {
+    net.set_precision(prec);
+    net.calibrate_int8(calib);
+    ASSERT_EQ(net.activation_scales().size(), want.size());
+    EXPECT_EQ(std::memcmp(net.activation_scales().data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "precision " << static_cast<int>(prec);
+  }
+}
+
 TEST(Int8Network, HybridAllFp16PlanMatchesFp16Path) {
   // A plan with zero int8 layers must reproduce the kFp16 path bit-exactly —
   // the hybrid executor's fp16 arm is the same arithmetic. The input residual
   // is the one documented divergence (hybrid adds the raw input, pure fp16
-  // the binary16-rounded input), so this net drops it.
-  core::SesrConfig config = small_config();
-  config.input_residual = false;
-  core::SesrInference net = make_inference(5, config);
-  net.calibrate_int8(make_calibration(50));
-  net.set_hybrid_plan(std::vector<core::LayerPrecision>(net.convolutions().size(),
-                                                        core::LayerPrecision::kFp16));
-  const Tensor frame = make_frame(51, 16, 16);
-  net.set_precision(core::InferencePrecision::kFp16);
-  const Tensor fp16 = net.upscale(frame);
-  net.set_precision(core::InferencePrecision::kHybrid);
-  const Tensor hybrid = net.upscale(frame);
-  EXPECT_EQ(max_abs_diff(hybrid, fp16), 0.0F);
+  // the binary16-rounded input), so the outputs differ exactly when it is on.
+  for (const bool input_residual : {false, true}) {
+    core::SesrConfig config = small_config();
+    config.input_residual = input_residual;
+    core::SesrInference net = make_inference(5, config);
+    net.calibrate_int8(make_calibration(50));
+    net.set_hybrid_plan(std::vector<core::LayerPrecision>(net.convolutions().size(),
+                                                          core::LayerPrecision::kFp16));
+    const Tensor frame = make_frame(51, 16, 16);
+    net.set_precision(core::InferencePrecision::kFp16);
+    const Tensor fp16 = net.upscale(frame);
+    net.set_precision(core::InferencePrecision::kHybrid);
+    const Tensor hybrid = net.upscale(frame);
+    if (input_residual) {
+      EXPECT_GT(max_abs_diff(hybrid, fp16), 0.0F);
+    } else {
+      EXPECT_EQ(max_abs_diff(hybrid, fp16), 0.0F);
+    }
+  }
 }
 
 TEST(Int8Network, CheckpointRoundTripBitExact) {

@@ -1,8 +1,10 @@
 // Tests for the execution-plan compiler: pass-pipeline structure, the
-// liveness memory planner's no-alias property, bitwise equivalence of the
-// planned executor against the direct per-layer path (including stale-arena
-// reuse and plan-cache eviction), arena reserve/trim, exact per-pixel
-// footprints, and the scratch trim / high-water seams the serve workers use.
+// liveness memory planner's no-alias property, per-step kernels, bitwise
+// equivalence of the packed plan against the same interpreter over the
+// unshared layout ("direct": every value in its own slot; including
+// stale-arena reuse and plan-cache eviction), arena reserve/trim, exact
+// per-pixel footprints, and the scratch trim / high-water seams the serve
+// workers use.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,13 +12,15 @@
 
 #include "core/plan/execution_plan.hpp"
 #include "core/plan/memory_planner.hpp"
+#include "core/plan/network_ir.hpp"
 #include "core/plan/passes.hpp"
+#include "core/plan/planned_executor.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/tiled_inference.hpp"
-#include "hw/network_ir.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/scratch.hpp"
+#include "tensor/tensor_ops.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sesr::core::plan {
@@ -59,6 +63,15 @@ SesrInference make_inference(const SesrConfig& config, std::uint64_t seed) {
   for (std::size_t i = 0; i < plan.size(); i += 2) plan[i] = LayerPrecision::kInt8;
   inference.set_hybrid_plan(std::move(plan));
   return inference;
+}
+
+// The same plan interpreter over the unshared layout, in a fresh executor.
+Tensor unshared_upscale(const SesrInference& net, const Tensor& input) {
+  const Shape& s = input.shape();
+  const ExecutionPlan plan = ExecutionPlan::compile(net, net.precision(), s.h(), s.w()).unshared();
+  Tensor out(s.n(), s.h() * net.config().scale, s.w() * net.config().scale, 1);
+  PlannedExecutor().run(plan, net, input, out);
+  return out;
 }
 
 constexpr InferencePrecision kAllPrecisions[] = {
@@ -175,8 +188,8 @@ TEST(ExecutionPlan, LiveValuesDisjointForRandomConfigsAndPrecisions) {
                     rng.bernoulli(0.5), rng.bernoulli(0.5));
     SesrInference net = make_inference(config, 0x1000 + static_cast<std::uint64_t>(trial));
     net.set_precision(kAllPrecisions[rng.uniform_int(0, 3)]);
-    const ExecutionPlan plan =
-        ExecutionPlan::compile(net, rng.uniform_int(4, 20), rng.uniform_int(4, 20));
+    const ExecutionPlan plan = ExecutionPlan::compile(net, net.precision(), rng.uniform_int(4, 20),
+                                                      rng.uniform_int(4, 20));
     const std::vector<PlanValue>& values = plan.values();
     for (std::size_t i = 0; i < values.size(); ++i) {
       const PlanValue& a = values[i];
@@ -200,8 +213,8 @@ TEST(ExecutionPlan, FootprintCoefficientsExactAcrossShapes) {
   SesrInference net = make_inference(make_config(2, 2, true, true, false), 7);
   for (const InferencePrecision precision : kAllPrecisions) {
     net.set_precision(precision);
-    const ExecutionPlan small = ExecutionPlan::compile(net, 16, 16);
-    const ExecutionPlan wide = ExecutionPlan::compile(net, 24, 40);
+    const ExecutionPlan small = ExecutionPlan::compile(net, precision, 16, 16);
+    const ExecutionPlan wide = ExecutionPlan::compile(net, precision, 24, 40);
     const PlanFootprint fs = small.footprint();
     const PlanFootprint fw = wide.footprint();
     // Per-pixel coefficients are shape-independent and reproduce the arena
@@ -216,12 +229,63 @@ TEST(ExecutionPlan, FootprintCoefficientsExactAcrossShapes) {
 
 TEST(ExecutionPlan, PlannedArenaBeatsSumOfLayerOutputs) {
   // The planner's whole point: the packed arena is far below materializing
-  // every fused step's output at once (the direct path's steady footprint).
+  // every fused step's output at once.
   SesrInference net = make_inference(make_config(5, 2, false, true, false), 11);
-  const ExecutionPlan plan = ExecutionPlan::compile(net, 32, 32);
+  const ExecutionPlan plan = ExecutionPlan::compile(net, net.precision(), 32, 32);
   std::int64_t direct_sum = 0;
   for (const PlanStep& step : plan.steps()) direct_sum += step.op.output_elements();
   EXPECT_LE(plan.float_arena_elements() * 2, direct_sum);
+}
+
+TEST(ExecutionPlan, KernelsAndSpacesFollowThePrecision) {
+  SesrInference net = make_inference(make_config(2, 2, true, true, false), 13);
+  for (const InferencePrecision precision : kAllPrecisions) {
+    net.set_precision(precision);
+    const ExecutionPlan plan = ExecutionPlan::compile(net, precision, 8, 8);
+    // Only kFp16 stores activations (and the input) as binary16.
+    EXPECT_EQ(plan.input_half_value() != kNoValue, precision == InferencePrecision::kFp16);
+    for (const PlanStep& step : plan.steps()) {
+      if (step.op.kind != hw::OpKind::kConv) continue;
+      const LayerPrecision layer = net.hybrid_plan()[static_cast<std::size_t>(step.op.conv_index)];
+      StepKernel want = StepKernel::kFp32;
+      if (precision == InferencePrecision::kFp16) want = StepKernel::kFp16;
+      if (precision == InferencePrecision::kInt8) want = StepKernel::kS8;
+      if (precision == InferencePrecision::kHybrid) {
+        want = layer == LayerPrecision::kInt8 ? StepKernel::kS8 : StepKernel::kFp16;
+      }
+      EXPECT_EQ(step.kernel, want);
+      // Hybrid fp16 layers read the fp32 carrier through a binary16 stage.
+      EXPECT_EQ(step.stage != kNoValue,
+                precision == InferencePrecision::kHybrid && want == StepKernel::kFp16);
+    }
+  }
+}
+
+TEST(ExecutionPlan, UnsharedLayoutGivesEveryValueItsOwnSlot) {
+  SesrInference net = make_inference(make_config(3, 4, false, true, true), 17);
+  for (const InferencePrecision precision : kAllPrecisions) {
+    net.set_precision(precision);
+    const ExecutionPlan packed = ExecutionPlan::compile(net, precision, 9, 7);
+    const ExecutionPlan plan = packed.unshared();
+    std::int64_t float_sum = 0;
+    std::int64_t half_sum = 0;
+    for (const PlanValue& v : plan.values()) {
+      if (v.external) continue;
+      (v.space == ValueSpace::kHalf ? half_sum : float_sum) += v.elements;
+    }
+    EXPECT_EQ(plan.float_arena_elements(), float_sum);
+    EXPECT_EQ(plan.half_arena_elements(), half_sum);
+    EXPECT_LT(packed.peak_activation_bytes(), plan.peak_activation_bytes());
+    const std::vector<PlanValue>& values = plan.values();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      for (std::size_t j = i + 1; j < values.size(); ++j) {
+        const PlanValue& a = values[i];
+        const PlanValue& b = values[j];
+        if (a.external || b.external || a.space != b.space) continue;
+        EXPECT_TRUE(a.offset + a.elements <= b.offset || b.offset + b.elements <= a.offset);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- planned executor
@@ -233,27 +297,22 @@ TEST(PlannedExecutor, BitIdenticalToDirectAllPrecisions) {
   const Tensor batch = random_frame(rng, 3, 10, 14);
   for (const InferencePrecision precision : kAllPrecisions) {
     planned.set_precision(precision);
-    SesrInference direct = planned;
-    direct.set_use_plan(false);
-    expect_bitwise(planned.upscale(frame), direct.upscale(frame));
-    expect_bitwise(planned.upscale(batch), direct.upscale(batch));
+    expect_bitwise(planned.upscale(frame), unshared_upscale(planned, frame));
+    expect_bitwise(planned.upscale(batch), unshared_upscale(planned, batch));
   }
 }
 
 TEST(PlannedExecutor, StaleArenaBytesNeverLeakIntoSmallerFrames) {
   // Run a large frame first so the arena holds stale activations, then a
   // small one: any offset bug that reads bytes the small plan never wrote
-  // would surface as a bitwise mismatch against the fresh direct path.
+  // would surface as a bitwise mismatch against a fresh unshared run.
   SesrInference planned = make_inference(make_config(1, 4, true, true, false), 31);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(32);
   for (const InferencePrecision precision : kAllPrecisions) {
     planned.set_precision(precision);
-    direct.set_precision(precision);
     (void)planned.upscale(random_frame(rng, 1, 24, 24));
     const Tensor small = random_frame(rng, 1, 5, 3);
-    expect_bitwise(planned.upscale(small), direct.upscale(small));
+    expect_bitwise(planned.upscale(small), unshared_upscale(planned, small));
   }
 }
 
@@ -261,8 +320,6 @@ TEST(PlannedExecutor, PlanCacheEvictionRecompilesCorrectly) {
   // More distinct shapes than the bounded plan cache holds: the comparison
   // shape is compiled, evicted, and recompiled — all bit-identical.
   SesrInference planned = make_inference(make_config(1, 2, false, true, false), 41);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(42);
   const Tensor probe = random_frame(rng, 1, 9, 9);
   const Tensor first = planned.upscale(probe);
@@ -271,25 +328,34 @@ TEST(PlannedExecutor, PlanCacheEvictionRecompilesCorrectly) {
   }
   const Tensor recompiled = planned.upscale(probe);
   expect_bitwise(recompiled, first);
-  expect_bitwise(recompiled, direct.upscale(probe));
+  expect_bitwise(recompiled, unshared_upscale(planned, probe));
 }
 
 TEST(PlannedExecutor, TiledUpscaleRunsThroughThePlan) {
+  // Every tile shape compiles its own plan; each tile must match that shape's
+  // unshared run.
   SesrInference planned = make_inference(make_config(2, 2, true, true, false), 51);
-  SesrInference direct = planned;
-  direct.set_use_plan(false);
   Rng rng(52);
   const Tensor frame = random_frame(rng, 1, 20, 17);
   TilingOptions options;
   options.tile_h = 7;
   options.tile_w = 6;
   options.halo = receptive_field_radius(planned);
-  expect_bitwise(upscale_tiled(planned, frame, options), upscale_tiled(direct, frame, options));
+  Tensor want(1, 40, 34, 1);
+  for (const TileTask& task : tile_grid(20, 17, options, options.halo)) {
+    const Tensor up =
+        unshared_upscale(planned, crop_spatial(frame, task.hy0, task.hx0, task.hh, task.hw));
+    paste_tile(want,
+               crop_spatial(up, (task.y0 - task.hy0) * 2, (task.x0 - task.hx0) * 2, task.th * 2,
+                            task.tw * 2),
+               task, 2);
+  }
+  expect_bitwise(upscale_tiled(planned, frame, options), want);
 }
 
 TEST(PlannedExecutor, ReserveAndTrimGovernArenaBytes) {
   SesrInference net = make_inference(make_config(2, 2, false, true, false), 61);
-  const PlanFootprint f = ExecutionPlan::compile(net, 16, 16).footprint();
+  const PlanFootprint f = ExecutionPlan::compile(net, net.precision(), 16, 16).footprint();
   EXPECT_EQ(net.plan_arena_bytes(), 0);  // nothing compiled or reserved yet
   net.plan_reserve(24 * 24);
   EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
@@ -303,10 +369,8 @@ TEST(PlannedExecutor, ReserveAndTrimGovernArenaBytes) {
   net.plan_trim(24 * 24);
   EXPECT_EQ(net.plan_arena_bytes(), f.bytes(24 * 24));
   // Still correct after the trim.
-  SesrInference direct = net;
-  direct.set_use_plan(false);
   const Tensor frame = random_frame(rng, 1, 10, 10);
-  expect_bitwise(net.upscale(frame), direct.upscale(frame));
+  expect_bitwise(net.upscale(frame), unshared_upscale(net, frame));
 }
 
 // ------------------------------------------------------------- scratch seams

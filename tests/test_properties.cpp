@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <tuple>
 
 #include "core/collapse.hpp"
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
-#include "core/quantize.hpp"
 #include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/augment.hpp"
@@ -17,6 +17,7 @@
 #include "metrics/psnr.hpp"
 #include "metrics/ssim.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv2d_s8.hpp"
 #include "nn/init.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -328,11 +329,15 @@ class QuantError : public ::testing::TestWithParam<int> {};
 TEST_P(QuantError, BoundedByHalfStep) {
   Rng rng(400 + static_cast<std::uint64_t>(GetParam()));
   const float range = rng.uniform(0.1F, 10.0F);
-  Tensor t(1, 6, 6, 3);
+  Tensor t(3, 3, 4, 3);  // HWIO conv kernel, per-output-channel scales
   t.fill_uniform(rng, -range, range);
-  const core::QuantizedTensor q = core::quantize_symmetric(t);
-  EXPECT_LT(max_abs_diff(t, core::dequantize(q)), q.scale * 0.5F + 1e-6F);
-  EXPECT_LE(q.scale, range / 127.0F + 1e-6F);
+  const nn::S8ConvWeights q = nn::quantize_conv_weights(t);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float s = q.scale[static_cast<std::size_t>(i % 3)];
+    const float back = static_cast<float>(q.values[static_cast<std::size_t>(i)]) * s;
+    EXPECT_LT(std::fabs(t.raw()[i] - back), s * 0.5F + 1e-6F);
+  }
+  for (const float s : q.scale) EXPECT_LE(s, range / 127.0F + 1e-6F);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranges, QuantError, ::testing::Range(0, 6));

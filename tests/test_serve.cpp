@@ -883,7 +883,7 @@ TEST(ShardedServerStress, SeededMixedNetworkBitIdentical) {
 // route carries a stronger promise (integer accumulation, fixed scales,
 // elementwise quantization): its tiled and streaming outputs must ALSO match
 // the full-frame pass bitwise, which the test asserts cross-mode.
-void run_mixed_precision_stress_iteration(std::uint64_t seed) {
+void mixed_precision_stress_iteration(std::uint64_t seed) {
   const ExecMode modes[] = {ExecMode::kFullFrame, ExecMode::kTiled, ExecMode::kStreaming,
                             ExecMode::kAuto};
   const ExecMode mode = modes[seed % 4];
@@ -1001,7 +1001,7 @@ TEST(MixedPrecisionStress, AllPrecisionsOneServerBitIdentical) {
   const int iterations = stress_iterations();
   for (int i = 0; i < iterations; ++i) {
     SCOPED_TRACE("iteration " + std::to_string(i));
-    run_mixed_precision_stress_iteration(static_cast<std::uint64_t>(i));
+    mixed_precision_stress_iteration(static_cast<std::uint64_t>(i));
     if (HasFatalFailure()) return;
   }
 }
