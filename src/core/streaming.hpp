@@ -9,12 +9,11 @@
 // buffers: the two long residuals are exactly the streams that must be
 // retained across the pipeline delay, visible here as extra buffered rows.
 //
-// Output equals SesrInference::upscale to float tolerance (property-tested).
-// In pure kInt8 precision the match is bitwise: integer accumulation is
-// order-independent and the fixed calibrated scales commute with cropping, so
-// the row-by-row pipeline reproduces the full-frame GEMM path exactly. Hybrid
-// plans with fp16 layers match to float tolerance like kFp16 (fp32 summation
-// order differs between conv_row and the blocked GEMM).
+// It runs fp32 only and is a demonstration, not a serve mode: bounded-memory
+// serving is the tiled path (core/tiled_inference.hpp), whose fixed arena
+// does not grow with the frame. Output equals SesrInference::upscale to float
+// tolerance (property-tested); the summation order differs from the blocked
+// GEMM.
 #pragma once
 
 #include <cstdint>
@@ -31,23 +30,13 @@ class StreamingUpscaler {
   explicit StreamingUpscaler(const SesrInference& network);
 
   // Upscale a (1, H, W, 1) Y image; numerically equal to network.upscale().
+  // Throws std::invalid_argument unless the network is in kFp32 precision.
   Tensor upscale(const Tensor& input);
 
   // Instrumentation from the last upscale() call: peak rows simultaneously
-  // buffered across all streams, and the equivalent storage bytes (4 bytes
-  // per element, or 2 for the line buffers a binary16 pipeline would hold —
-  // everything except the fp32 pre-shuffle stream when the network is in
-  // fp16 precision). In kInt8/kHybrid a quantized pipeline holds each line
-  // buffer at the width its consuming conv needs — 1 byte for an int8
-  // consumer, 2 for an fp16 one — except the two long-residual sources
-  // (input and act0), whose second consumer adds on the carrier and which
-  // therefore stay at binary16 minimum.
+  // buffered across all streams, and their fp32 storage bytes.
   std::int64_t peak_buffered_rows() const { return peak_rows_; }
   std::int64_t peak_buffered_bytes() const { return peak_bytes_; }
-
-  // The network this streamer pipelines (the tile-delta path crops HR regions
-  // of interest with its scale).
-  const SesrInference& network() const { return net_; }
 
  private:
   struct Stream {
@@ -62,11 +51,6 @@ class StreamingUpscaler {
 
   const SesrInference& net_;
   std::vector<std::int64_t> radius_;  // per conv layer
-  // Mirrors the network's fp16 weight rounding when it is in kFp16 precision:
-  // fp32 copies whose values are exactly round16(weight), built lazily. Row
-  // values stay fp32 in the deques (every stored value is binary16-exact),
-  // so only the byte accounting changes.
-  std::vector<Tensor> fp16_weights_;
   std::int64_t peak_rows_ = 0;
   std::int64_t peak_bytes_ = 0;
 };

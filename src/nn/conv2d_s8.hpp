@@ -9,8 +9,8 @@
 //
 // Exactness contract: for a fixed activation scale, quantization is
 // elementwise and padding quantizes to the zero point, so cropping commutes
-// with the whole layer — tiled and streaming execution reproduce full-frame
-// int8 results bit-exactly (the int32 accumulator is order-independent and
+// with the whole layer — tiled execution reproduces full-frame int8 results
+// bit-exactly (the int32 accumulator is order-independent and
 // the dequant store is a fixed single-rounded expression; see gemm_s8.hpp).
 #pragma once
 

@@ -61,8 +61,8 @@ struct S8Epilogue {
 
 // The canonical scalar quantizer: round-half-away-from-zero, clamp to
 // [-127, 127]. Every producer of int8 data in the repo (weight quantization,
-// the implicit im2col row source, the streaming row path, the src/check
-// references) must funnel through this exact expression; divergent rounding was the
+// the implicit im2col row source, the src/check references) must funnel
+// through this exact expression; divergent rounding was the
 // "reference drift" failure mode the audit pairs exist to catch. The
 // trunc(r + 0.5) form equals std::round for every float with |r| <= 127
 // (the add is exact or rounds within the same unit interval there) while

@@ -65,8 +65,7 @@ struct RouteCounters;
 struct VideoDeltaPlan {
   std::vector<core::TileTask> dirty_tasks;  // the tiles to recompute
   Tensor output;  // (1, scale*H, scale*W, 1), clean tiles pre-spliced
-  ExecMode mode = ExecMode::kFullFrame;  // resolved exec path (never kAuto)
-  std::size_t total_tiles = 0;           // grid size, for reuse accounting
+  std::size_t total_tiles = 0;  // grid size, for reuse accounting
 };
 
 // Counts logical requests between admission (submit accepted the frame) and

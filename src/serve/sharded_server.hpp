@@ -195,7 +195,9 @@ class ShardedServer {
     RouteCounters counters;
   };
 
-  ExecMode resolve_mode(const Shape& shape) const;
+  // Whether a frame of this shape is cut into tiles (kTiled, or kAuto at or
+  // above tiled_threshold_pixels) rather than batched full-frame.
+  bool tiles(const Shape& shape) const;
   void batcher_loop(Shard& shard);
   void worker_loop(Shard& shard, WorkerSession& session);
   std::int64_t in_system(std::size_t shard) const;

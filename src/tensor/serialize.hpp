@@ -20,6 +20,9 @@ namespace sesr {
 // A named set of tensors, e.g. all parameters of a model keyed by layer path.
 using TensorMap = std::map<std::string, Tensor>;
 
+// Loading treats every length field as hostile: read_tensor and load_tensors
+// throw std::runtime_error for a name or tensor larger than the bytes the
+// (seekable) input still holds, before allocating anything for it.
 void write_tensor(std::ostream& os, const Tensor& t);
 Tensor read_tensor(std::istream& is);
 

@@ -140,6 +140,7 @@ TEST(ServeCli, MutuallyExclusiveStopConditionsRaiseUsageError) {
 
 TEST(ServeCli, BadEnumsRaiseUsageError) {
   EXPECT_THROW(parse_serve({"--mode=bogus"}), UsageError);
+  EXPECT_THROW(parse_serve({"--mode=streaming"}), UsageError);  // retired serve mode
   EXPECT_THROW(parse_serve({"--policy=maybe"}), UsageError);
   EXPECT_THROW(parse_serve({"--net=m4"}), UsageError);
   EXPECT_THROW(parse_serve({"--scale=3"}), UsageError);

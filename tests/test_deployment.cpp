@@ -204,6 +204,28 @@ TEST(Streaming, RejectsBatchedOrColorInput) {
   EXPECT_THROW(streamer.upscale(rgb), std::invalid_argument);
 }
 
+TEST(Streaming, RejectsNonFp32Network) {
+  // The line-buffer pipeline computes fp32 only; a reduced-precision network
+  // must be refused, never silently upscaled at fp32.
+  Rng rng(73);
+  SesrNetwork net(tiny(2), rng);
+  SesrInference deployed(net);
+  Rng irng(75);
+  const Tensor image = data::synthesize_image(data::ImageFamily::kNatural, 16, 16, irng);
+  deployed.calibrate_int8({image});
+  deployed.set_hybrid_plan(
+      std::vector<LayerPrecision>(deployed.convolutions().size(), LayerPrecision::kInt8));
+  StreamingUpscaler streamer(deployed);
+  for (const InferencePrecision precision :
+       {InferencePrecision::kFp16, InferencePrecision::kInt8, InferencePrecision::kHybrid}) {
+    deployed.set_precision(precision);
+    EXPECT_THROW(streamer.upscale(image), std::invalid_argument)
+        << "precision " << static_cast<int>(precision);
+  }
+  deployed.set_precision(InferencePrecision::kFp32);
+  EXPECT_LT(max_abs_diff(streamer.upscale(image), deployed.upscale(image)), 1e-5F);
+}
+
 // Dequantize per-channel s8 weights back to float (HWIO, channel fastest).
 Tensor dequantize_weights(const nn::S8ConvWeights& q) {
   Tensor t(q.shape);

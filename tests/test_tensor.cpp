@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
@@ -470,6 +471,51 @@ TEST(Serialize, TruncatedStreamThrows) {
   std::string s = ss.str();
   std::stringstream cut(s.substr(0, s.size() - 3));
   EXPECT_THROW(read_tensor(cut), std::runtime_error);
+}
+
+// A checkpoint file holding the header, one entry whose name length field
+// reads `name_len`, the name bytes actually present, and `dims` (if any).
+// Length fields come from the file, so the loader must refuse them before
+// allocating: these files are a few dozen bytes but claim up to exabytes.
+std::string write_hostile_checkpoint(const std::string& file, std::uint64_t name_len,
+                                     const std::string& name,
+                                     const std::vector<std::int64_t>& dims) {
+  const std::string path = (std::filesystem::temp_directory_path() / file).string();
+  std::ofstream os(path, std::ios::binary);
+  const std::uint32_t version = 1;
+  const std::uint64_t count = 1;
+  os.write("SESR", 4);
+  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  os.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  os.write(name.data(), static_cast<std::streamsize>(name.size()));
+  for (const std::int64_t d : dims) os.write(reinterpret_cast<const char*>(&d), sizeof(d));
+  os.write("\0\0\0\0\0", 5);  // a few stray data bytes
+  return path;
+}
+
+TEST(Serialize, NameLongerThanFileThrows) {
+  const std::string path = write_hostile_checkpoint("sesr_long_name.ckpt", 1ULL << 40, "", {});
+  EXPECT_THROW(load_tensors(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, TensorLargerThanFileThrows) {
+  const std::string path =
+      write_hostile_checkpoint("sesr_huge_tensor.ckpt", 1, "w", {1, 1 << 20, 1 << 20, 64});
+  EXPECT_THROW(load_tensors(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, OverflowingDimsThrow) {
+  // 2^31 * 2^31 elements fit int64 but their byte count (2^64) wraps int64
+  // and u64 alike; 2^32 * 2^32 elements overflow int64 outright.
+  for (const std::int64_t d : {1LL << 31, 1LL << 32}) {
+    const std::string path =
+        write_hostile_checkpoint("sesr_overflow_dims.ckpt", 1, "w", {d, d, 1, 1});
+    EXPECT_THROW(load_tensors(path), std::runtime_error) << "dims " << d << "x" << d;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
