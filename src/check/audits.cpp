@@ -215,6 +215,60 @@ TrialResult conv2d_trial(std::uint64_t seed) {
   return r;
 }
 
+// Direct (im2col-free) stride-1 SAME conv vs explicit im2col_rows +
+// gemm_fused under the same GEMM ISA, both ISAs per trial. Zero tolerance:
+// the direct tiles keep the GEMM's exact arithmetic (k order, the kGemmKc
+// split, bias on the first block, activation after the last), so any
+// difference is a bug. Shapes cross the 4-wide/16-wide tile choice, partial
+// tiles, even (asymmetric) windows and K beyond one and two k-blocks.
+TrialResult conv2d_direct_trial(std::uint64_t seed) {
+  TrialResult r;
+  Rng rng(seed);
+  const std::int64_t kh = rng.uniform_int(2, 7);
+  const std::int64_t kw = rng.bernoulli(0.25) ? rng.uniform_int(1, 7) : kh;
+  const std::int64_t h = rng.uniform_int(1, 40);
+  const std::int64_t w = rng.uniform_int(1, 40);
+  const std::int64_t in_c = rng.uniform_int(1, 24);
+  const std::int64_t out_c = rng.uniform_int(1, 24);
+  const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), h, w, in_c);
+  const Tensor weight = random_tensor(rng, kh, kw, in_c, out_c, -0.3F, 0.3F);
+  std::optional<Tensor> bias;
+  if (rng.bernoulli(0.5)) bias = random_tensor(rng, 1, 1, 1, out_c);
+  const Tensor alpha = random_tensor(rng, 1, 1, 1, out_c, -0.5F, 0.5F);
+  const auto act = static_cast<nn::Epilogue::Act>(rng.uniform_int(0, 2));
+  const nn::Epilogue epi{act, act == nn::Epilogue::Act::kPRelu ? alpha.raw() : nullptr};
+  const nn::ConvGeometry g = nn::conv_geometry(input, weight, nn::Padding::kSame);
+  const std::int64_t image = g.rows() * out_c;
+  std::vector<float> got;
+  std::vector<double> want;
+  std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
+  std::vector<float> ref(static_cast<std::size_t>(image));
+  for (nn::GemmIsa isa : {nn::GemmIsa::kGeneric, nn::GemmIsa::kAvx2}) {
+    GemmIsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    const Tensor out =
+        nn::conv2d_fused(input, weight, bias ? &*bias : nullptr, epi, nn::Padding::kSame);
+    got.insert(got.end(), out.data().begin(), out.data().end());
+    for (std::int64_t n = 0; n < input.shape().n(); ++n) {
+      nn::im2col_rows(input, n, g, 0, g.rows(), cols.data());
+      nn::gemm_fused(cols, weight.data(), bias ? bias->data() : std::span<const float>{}, ref,
+                     g.rows(), g.cols(), out_c, epi);
+      want.insert(want.end(), ref.begin(), ref.end());
+    }
+  }
+  if (got.empty()) {
+    r.skipped = true;
+    return r;
+  }
+  r.stats = compare_f32(got, want);
+  r.output_hash = hash_bits(got);
+  std::ostringstream os;
+  os << "in=" << shape_str(input.shape()) << " k=" << kh << "x" << kw << " out_c=" << out_c
+     << " act=" << static_cast<int>(act) << (bias ? " bias" : "");
+  r.detail = os.str();
+  return r;
+}
+
 TrialResult conv2d_1x1_trial(std::uint64_t seed) {
   TrialResult r;
   Rng rng(seed);
@@ -1038,8 +1092,14 @@ std::vector<AuditPair> make_builtin_pairs() {
                    [](std::uint64_t s) { return gemm_trial_with_isa(s, nn::GemmIsa::kAvx2); }});
   pairs.push_back({"gemm_zero_skip", "zero-skipping GEMM on sparse probes vs double GEMM", 1e-4,
                    256.0, gemm_zero_skip_trial});
-  pairs.push_back({"conv2d_striped", "striped im2col conv (k in {3,5,7}, strides, SAME/VALID)",
+  pairs.push_back({"conv2d_striped",
+                   "conv forward (k in {3,5,7}): stride-1 SAME on the direct kernels, stride 2 "
+                   "and VALID on the striped im2col GEMM",
                    1e-4, 256.0, conv2d_trial});
+  pairs.push_back({"conv2d_direct_vs_gemm",
+                   "direct stride-1 SAME conv vs im2col + gemm_fused, generic and AVX2 (must be "
+                   "bit-exact)",
+                   0.0, 0.0, conv2d_direct_trial});
   pairs.push_back(
       {"conv2d_1x1", "pointwise conv fast path (no im2col)", 1e-5, 64.0, conv2d_1x1_trial});
   pairs.push_back({"conv2d_zero_skip", "zero-skipping conv on sparse inputs", 1e-4, 256.0,

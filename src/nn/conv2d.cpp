@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/conv_direct.hpp"
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
 #include "tensor/scratch.hpp"
@@ -45,8 +46,10 @@ std::int64_t stripes_per_image(std::int64_t rows) {
   return (rows + kStripePixels - 1) / kStripePixels;
 }
 
-// Shared forward: stripes the im2col row space across the pool and fuses the
-// optional bias into the GEMM store. `zero_skip` selects the branchy
+// Shared forward: 1x1 stride-1 convs are one GEMM over the NHWC activations,
+// other stride-1 SAME convs take the direct kernels (nn/conv_direct.hpp), and
+// the rest stripe the im2col row space across the pool with the optional bias
+// fused into the GEMM store. `zero_skip` selects the branchy
 // zero-skipping kernel kept for Algorithm-1 identity probes. Input and output
 // are raw NHWC images (in_shape describes `input`; `out` must hold
 // batch * out_h * out_w * out_c floats) so planner-owned arena slices work the
@@ -82,6 +85,12 @@ void conv2d_impl(const float* input, const Shape& in_shape, const Tensor& weight
             gemm(src, weight.data(), dst, rows, cin, out_c);
           }
         });
+    return;
+  }
+
+  // Stride-1 SAME windows (SESR's head, body and tail) run im2col-free.
+  if (!zero_skip && padding == Padding::kSame && g.stride == 1) {
+    conv2d_direct(input, batch, g, weight.raw(), out_c, bias, epi, out);
     return;
   }
 

@@ -27,7 +27,7 @@ void check_sizes(std::span<const float> a, std::span<const float> b, std::span<f
 //   MC * KC panel of A  ~ 96 KiB  -> L2-resident across one B panel sweep
 constexpr std::int64_t kMr = 6;
 constexpr std::int64_t kNr = 16;
-constexpr std::int64_t kKc = 256;
+constexpr std::int64_t kKc = kGemmKc;
 constexpr std::int64_t kMc = 96;  // multiple of kMr
 constexpr std::int64_t kNc = 1024;
 
@@ -130,7 +130,8 @@ void pack_b_fp16(const fp16::Half* b, std::int64_t n, std::int64_t p0, std::int6
 // tile values; gemm_tiled only passes it on the last k-block, after the bias
 // and all partial sums have landed, so the fused result matches a separate
 // elementwise pass bit for bit. ReLU must stay the explicit `v > 0 ? v : 0`
-// branch (not alpha=0 PReLU, which would turn negatives into -0.0F).
+// select (not alpha=0 PReLU, which would turn negatives into -0.0F). PReLU
+// goes through prelu_select so it vectorizes instead of branching per element.
 __attribute__((always_inline)) inline void apply_epilogue_rows(float* c, std::int64_t ldc,
                                                                std::int64_t mr, std::int64_t nr,
                                                                const Epilogue* epi) {
@@ -146,10 +147,7 @@ __attribute__((always_inline)) inline void apply_epilogue_rows(float* c, std::in
     for (std::int64_t i = 0; i < mr; ++i) {
       float* crow = c + i * ldc;
 #pragma omp simd
-      for (std::int64_t j = 0; j < nr; ++j) {
-        const float v = crow[j];
-        crow[j] = v > 0.0F ? v : alpha[j] * v;
-      }
+      for (std::int64_t j = 0; j < nr; ++j) crow[j] = prelu_select(crow[j], alpha[j]);
     }
   }
 }
@@ -489,6 +487,11 @@ bool gemm_avx2_supported() {
 #else
   return false;
 #endif
+}
+
+GemmIsa active_gemm_isa() {
+  return g_micro_kernel.load(std::memory_order_relaxed) == micro_kernel_generic ? GemmIsa::kGeneric
+                                                                                : GemmIsa::kAvx2;
 }
 
 bool set_gemm_isa(GemmIsa isa) {

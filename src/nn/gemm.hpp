@@ -15,6 +15,7 @@
 // use the dense kernels.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -36,6 +37,16 @@ bool set_gemm_isa(GemmIsa isa);
 // True when the AVX2+FMA micro-kernel is available on this CPU.
 bool gemm_avx2_supported();
 
+// The micro-kernel build the dispatch currently selects: kGeneric or kAvx2,
+// never kAuto. Kernels outside this file that must reproduce the GEMM's
+// arithmetic bit for bit (the direct conv tiles) pick their build from it.
+GemmIsa active_gemm_isa();
+
+// k-block of the fp32 GEMM: k is summed in order in blocks of this size, the
+// first block stored (with the bias) and later blocks added to C. Part of the
+// output's bit pattern, so kernels that must match the GEMM share it.
+inline constexpr std::int64_t kGemmKc = 256;
+
 // Optional activation fused into the GEMM write-back. The micro-kernel
 // applies it on the *last* k-block's store only (bias rides on the first
 // block's store), so the fused result is bit-identical to running the plain
@@ -47,6 +58,19 @@ struct Epilogue {
   Act act = Act::kNone;
   const float* prelu_alpha = nullptr;  // n slopes; required iff act == kPRelu
 };
+
+// PReLU on one value: v > 0 ? v : alpha * v, bit for bit (NaN and -0.0
+// included), written as a bit select over an unconditionally computed
+// product. Under GCC's default -ftrapping-math the plain ternary keeps the
+// multiply behind a scalar compare and branch (mispredicted on mixed-sign
+// activations, and never vectorized); the select compiles to mul, compare and
+// blend in every kernel build.
+inline float prelu_select(float v, float alpha) {
+  const float neg = alpha * v;
+  const std::uint32_t keep = 0U - static_cast<std::uint32_t>(v > 0.0F);
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(v) & keep) |
+                              (std::bit_cast<std::uint32_t>(neg) & ~keep));
+}
 
 // C = A * B. C must hold m*n elements; it is overwritten.
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c, std::int64_t m,

@@ -107,7 +107,7 @@ inline void s8_store_tile(const std::uint32_t acc[kMrS8][kNrS8], const S8TileCtx
       if (t.act == Epilogue::Act::kRelu) {
         f = f > 0.0F ? f : 0.0F;
       } else if (t.act == Epilogue::Act::kPRelu) {
-        f = f > 0.0F ? f : t.alpha[j] * f;
+        f = prelu_select(f, t.alpha[j]);
       }
       out[j] = f;
     }

@@ -31,7 +31,8 @@ namespace sesr {
 enum class ScratchSlot : std::size_t {
   kGemmPackA = 0,   // packed A panels inside gemm
   kGemmPackB,       // packed B panels inside gemm
-  kIm2col,          // per-stripe im2col patch matrix (conv forward / weight grad)
+  kIm2col,          // per-stripe im2col patch matrix (strided/VALID conv fwd, weight grad)
+  kConvStage,       // direct conv: per-stripe padded input rows + weight panel
   kConvCols,        // full-image column matrix (conv backward input)
   kGradPartial,     // per-stripe weight/bias gradient partials
   kF16StageA,       // fp32 row buffer for the fp16 GEMM's A-pack widening

@@ -5,8 +5,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -318,6 +322,16 @@ TEST(Im2col, Col2ImIsAdjoint) {
 
 // ---------------------------------------------------------------- conv ------
 
+// Restores the env-configured global pool after a test pinned its width.
+void restore_env_threads() {
+  unsigned restore = std::thread::hardware_concurrency();
+  if (const char* env = std::getenv("SESR_NUM_THREADS")) {
+    const long t = std::strtol(env, nullptr, 10);
+    restore = t > 0 ? static_cast<unsigned>(t) : 1U;
+  }
+  ThreadPool::set_global_threads(restore > 0 ? restore : 1U);
+}
+
 class ConvShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int, int, int>> {};
 
@@ -501,19 +515,143 @@ TEST(Conv2d, BitIdenticalAcrossThreadCounts) {
   const Results serial = run();
   ThreadPool::set_global_threads(4);
   const Results threaded = run();
-  // Restore the env-configured pool for the remaining tests.
-  unsigned restore = std::thread::hardware_concurrency();
-  if (const char* env = std::getenv("SESR_NUM_THREADS")) {
-    const long t = std::strtol(env, nullptr, 10);
-    restore = t > 0 ? static_cast<unsigned>(t) : 1U;
-  }
-  ThreadPool::set_global_threads(restore > 0 ? restore : 1U);
+  restore_env_threads();
   EXPECT_EQ(max_abs_diff(serial.fwd, threaded.fwd), 0.0F);
   EXPECT_EQ(max_abs_diff(serial.fwd_1x1, threaded.fwd_1x1), 0.0F);
   EXPECT_EQ(max_abs_diff(serial.gin, threaded.gin), 0.0F);
   EXPECT_EQ(max_abs_diff(serial.gw, threaded.gw), 0.0F);
   EXPECT_EQ(max_abs_diff(serial.gb, threaded.gb), 0.0F);
 }
+
+// ------------------------------------------------- direct conv sweep ------
+// Stride-1 SAME convs with kh*kw > 1 run im2col-free (nn/conv_direct.hpp).
+// Every variant must equal explicit im2col_rows + gemm_fused bit for bit
+// under both GEMM ISAs and at 1 and 4 threads, and the double-accumulated
+// naive conv (plus bias and activation) within 1e-5. Variants sweep the
+// kernel size (even k pads asymmetrically), channel counts on and off the
+// 16-wide and 4-wide tiles, tiny and tile-misaligned images, batch, every
+// epilogue, and K = 288 / 400 / 800, which cross one and two kGemmKc splits.
+
+struct DirectCase {
+  std::string name;
+  std::int64_t batch, h, w, cin, cout, k;
+  bool bias;
+  Epilogue::Act act;
+};
+
+void PrintTo(const DirectCase& c, std::ostream* os) { *os << c.name; }
+
+DirectCase direct_case(std::int64_t batch, std::int64_t h, std::int64_t w, std::int64_t cin,
+                       std::int64_t cout, std::int64_t k, bool bias, Epilogue::Act act) {
+  static const char* const kAct[] = {"none", "relu", "prelu"};
+  const std::string name = "k" + std::to_string(k) + "_c" + std::to_string(cin) + "to" +
+                           std::to_string(cout) + "_" + std::to_string(h) + "x" +
+                           std::to_string(w) + "_n" + std::to_string(batch) +
+                           (bias ? "_bias_" : "_nobias_") + kAct[static_cast<int>(act)];
+  return {name, batch, h, w, cin, cout, k, bias, act};
+}
+
+std::vector<DirectCase> direct_cases() {
+  using A = Epilogue::Act;
+  std::vector<DirectCase> v;
+  for (std::int64_t k : {2, 3, 4, 5, 7}) {  // kernel x output-channel grid
+    for (std::int64_t cout : {1, 3, 4, 5, 16, 20, 32}) {
+      v.push_back(direct_case(1, 13, 97, 3, cout, k, true, A::kPRelu));
+    }
+  }
+  for (std::int64_t cin : {1, 16, 32}) {  // input channels
+    for (std::int64_t cout : {4, 16}) {
+      v.push_back(direct_case(3, 13, 97, cin, cout, 3, true, A::kRelu));
+    }
+  }
+  const std::pair<std::int64_t, std::int64_t> spatial[] = {{1, 1}, {1, 7}, {5, 3}, {64, 64}};
+  for (const auto& [h, w] : spatial) {  // tiny and tile-misaligned images
+    for (std::int64_t k : {2, 5, 7}) {
+      for (std::int64_t cout : {4, 16}) {
+        v.push_back(direct_case(h == 64 ? 1 : 3, h, w, 3, cout, k, true, A::kPRelu));
+      }
+    }
+  }
+  for (bool bias : {false, true}) {  // every epilogue
+    for (A act : {A::kNone, A::kRelu, A::kPRelu}) {
+      for (std::int64_t cout : {4, 16}) {
+        v.push_back(direct_case(1, 13, 97, 16, cout, 3, bias, act));
+      }
+    }
+  }
+  const std::pair<std::int64_t, std::int64_t> kblocks[] = {{3, 32}, {5, 16}, {5, 32}};
+  for (const auto& [k, cin] : kblocks) {  // K = 288, 400, 800
+    for (std::int64_t cout : {4, 16, 20}) {
+      v.push_back(direct_case(1, 13, 97, cin, cout, k, true, A::kPRelu));
+    }
+  }
+  return v;
+}
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class DirectConv : public ::testing::TestWithParam<DirectCase> {};
+
+TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
+  const DirectCase& c = GetParam();
+  Rng rng(static_cast<std::uint64_t>(c.k * 1000003 + c.cin * 1009 + c.cout * 31 + c.h * 7 + c.w));
+  Tensor x(c.batch, c.h, c.w, c.cin);
+  x.fill_uniform(rng, -1.0F, 1.0F);
+  const float bound = 1.0F / std::sqrt(static_cast<float>(c.k * c.k * c.cin));
+  Tensor w(c.k, c.k, c.cin, c.cout);
+  w.fill_uniform(rng, -bound, bound);
+  Tensor bias(1, 1, 1, c.cout);
+  bias.fill_uniform(rng, -0.5F, 0.5F);
+  Tensor alpha(1, 1, 1, c.cout);
+  alpha.fill_uniform(rng, -0.5F, 0.5F);
+  const Epilogue epi{c.act, c.act == Epilogue::Act::kPRelu ? alpha.raw() : nullptr};
+  const Tensor* b = c.bias ? &bias : nullptr;
+
+  Tensor naive = conv2d_naive(x, w, Padding::kSame);
+  for (std::int64_t i = 0; i < naive.numel(); ++i) {
+    float& v = naive.raw()[i];
+    const std::int64_t oc = i % c.cout;
+    if (c.bias) v += bias.raw()[oc];
+    if (c.act == Epilogue::Act::kRelu) v = v > 0.0F ? v : 0.0F;
+    if (c.act == Epilogue::Act::kPRelu) v = v > 0.0F ? v : alpha.raw()[oc] * v;
+  }
+
+  const ConvGeometry g = conv_geometry(x, w, Padding::kSame);
+  std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
+  const std::span<const float> bspan =
+      c.bias ? std::span<const float>(bias.data()) : std::span<const float>{};
+  for (GemmIsa isa : {GemmIsa::kGeneric, GemmIsa::kAvx2}) {
+    if (!set_gemm_isa(isa)) continue;  // AVX2 absent on this CPU
+    Tensor want(c.batch, c.h, c.w, c.cout);
+    for (std::int64_t n = 0; n < c.batch; ++n) {
+      im2col_rows(x, n, g, 0, g.rows(), cols.data());
+      gemm_fused(cols, w.data(), bspan,
+                 {want.raw() + n * g.rows() * c.cout, static_cast<std::size_t>(g.rows() * c.cout)},
+                 g.rows(), g.cols(), c.cout, epi);
+    }
+    for (unsigned threads : {1U, 4U}) {
+      ThreadPool::set_global_threads(threads);
+      // No activation goes through the epilogue-free entry points, which is
+      // how training forwards and the plan's last conv reach the kernel.
+      const Tensor got = c.act != Epilogue::Act::kNone ? conv2d_fused(x, w, b, epi, Padding::kSame)
+                         : c.bias                      ? conv2d_bias(x, w, bias, Padding::kSame)
+                                                       : conv2d(x, w, Padding::kSame);
+      const char* isa_name = isa == GemmIsa::kAvx2 ? "avx2" : "generic";
+      EXPECT_TRUE(bit_equal(got, want)) << isa_name << " threads=" << threads;
+      EXPECT_LT(max_abs_diff(got, naive), 1e-5F) << isa_name << " threads=" << threads;
+    }
+  }
+  set_gemm_isa(GemmIsa::kAuto);
+  restore_env_threads();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DirectConv, ::testing::ValuesIn(direct_cases()),
+                         [](const ::testing::TestParamInfo<DirectCase>& info) {
+                           return info.param.name;
+                         });
 
 TEST(Conv2d, IdentityKernelIsIdentity) {
   Rng rng(5);

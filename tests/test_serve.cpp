@@ -1710,9 +1710,12 @@ TEST(ShardedServer, DrainSwapResumeUnderLiveTrafficLosesNothing) {
   while (accepted.load() < 8) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   server.begin_drain();  // returns only after every accepted future resolved
   server.reload_routes(registry_new);
-  stop.store(true, std::memory_order_release);  // producers may still see draining
-  server.resume();
+  // Stop and join the producers BEFORE resuming: a producer that read
+  // stop == false could otherwise submit after resume(), be served by the new
+  // checkpoint, and count as lost against want_old.
+  stop.store(true, std::memory_order_release);
   for (auto& p : producers) p.join();
+  server.resume();
 
   EXPECT_EQ(lost.load(), 0U) << "accepted requests lost or served the wrong checkpoint";
   EXPECT_GE(accepted.load(), 8U);
