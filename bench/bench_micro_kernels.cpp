@@ -276,29 +276,6 @@ void BM_Fp16ConvertToFloat(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp16ConvertToFloat)->Arg(4096)->Arg(1 << 20);
 
-void BM_GemmFp16wSesrShape(benchmark::State& state) {
-  // The fp16-storage counterpart of BM_GemmSesrShape: same flops, half the
-  // operand bytes, staging through the F16C widening kernels.
-  const std::int64_t m = 4096, k = 144, n = 16;
-  Rng rng(23);
-  std::vector<float> af(static_cast<std::size_t>(m * k));
-  std::vector<float> bf(static_cast<std::size_t>(k * n));
-  for (float& v : af) v = rng.uniform(-1.0F, 1.0F);
-  for (float& v : bf) v = rng.uniform(-1.0F, 1.0F);
-  std::vector<fp16::Half> a(af.size());
-  std::vector<fp16::Half> b(bf.size());
-  fp16::convert_to_half(af.data(), a.data(), static_cast<std::int64_t>(af.size()));
-  fp16::convert_to_half(bf.data(), b.data(), static_cast<std::int64_t>(bf.size()));
-  std::vector<float> c(static_cast<std::size_t>(m * n));
-  for (auto _ : state) {
-    nn::gemm_fp16w(a, b, {}, c, m, k, n, nn::Epilogue{});
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * m * k * n);
-  set_gflops_counter(state, 2.0 * static_cast<double>(m * k * n));
-}
-BENCHMARK(BM_GemmFp16wSesrShape);
-
 void BM_SesrM5Fp16Inference360p(benchmark::State& state) {
   Rng rng(14);
   core::SesrNetwork net(core::sesr_m5(2), rng);

@@ -874,6 +874,64 @@ TrialResult conv2d_fp16_trial(std::uint64_t seed) {
   return r;
 }
 
+// fp16-storage conv vs the fp32 conv on the exactly widened operands, under
+// the same GEMM ISA, both ISAs per trial. Zero tolerance: the fp16 forward is
+// the fp32 kernels' arithmetic on widened binary16 values (direct kernels for
+// stride-1 SAME windows, staging-time widening; the fp32 GEMM routes for 1x1,
+// VALID and stride 2), so the fp32-output variant must match conv2d_fused bit
+// for bit and the half-output variant its one binary16 rounding.
+TrialResult conv2d_fp16_direct_trial(std::uint64_t seed) {
+  TrialResult r;
+  Rng rng(seed);
+  const std::int64_t kh = rng.uniform_int(1, 7);
+  const std::int64_t kw = rng.bernoulli(0.25) ? rng.uniform_int(1, 7) : kh;
+  const std::int64_t geometry = rng.uniform_int(0, 3);  // 0-1 SAME, 2 VALID, 3 stride 2
+  const nn::Padding pad = geometry == 2 ? nn::Padding::kValid : nn::Padding::kSame;
+  const std::int64_t stride = geometry == 3 ? 2 : 1;
+  const std::int64_t h = rng.uniform_int(geometry == 2 ? kh : 1, 40);
+  const std::int64_t w = rng.uniform_int(geometry == 2 ? kw : 1, 40);
+  const std::int64_t in_c = rng.uniform_int(1, 24);
+  const std::int64_t out_c = rng.uniform_int(1, 24);
+  const Tensor input = random_tensor(rng, rng.uniform_int(1, 2), h, w, in_c);
+  const Tensor weight = random_tensor(rng, kh, kw, in_c, out_c, -0.3F, 0.3F);
+  std::optional<Tensor> bias;
+  if (rng.bernoulli(0.5)) bias = random_tensor(rng, 1, 1, 1, out_c);
+  const Tensor alpha = random_tensor(rng, 1, 1, 1, out_c, -0.5F, 0.5F);
+  const auto act = static_cast<nn::Epilogue::Act>(rng.uniform_int(0, 2));
+  const nn::Epilogue epi{act, act == nn::Epilogue::Act::kPRelu ? alpha.raw() : nullptr};
+  const fp16::HalfTensor hin = fp16::HalfTensor::from_float(input);
+  const fp16::HalfTensor hw = fp16::HalfTensor::from_float(weight);
+  const Tensor rin = hin.to_float();
+  const Tensor rw = hw.to_float();
+  const Tensor* b = bias ? &*bias : nullptr;
+  std::vector<float> got;
+  std::vector<double> want;
+  for (nn::GemmIsa isa : {nn::GemmIsa::kGeneric, nn::GemmIsa::kAvx2}) {
+    GemmIsaGuard guard(isa);
+    if (!guard.ok()) continue;
+    Tensor ref = nn::conv2d_fused(rin, rw, b, epi, pad, stride);
+    const Tensor out_f = nn::conv2d_fp16_to_float(hin, hw, b, epi, pad, stride);
+    const Tensor out_h = nn::conv2d_fp16(hin, hw, b, epi, pad, stride).to_float();
+    got.insert(got.end(), out_f.data().begin(), out_f.data().end());
+    got.insert(got.end(), out_h.data().begin(), out_h.data().end());
+    want.insert(want.end(), ref.data().begin(), ref.data().end());
+    fp16::round_through_half(ref.raw(), ref.numel());
+    want.insert(want.end(), ref.data().begin(), ref.data().end());
+  }
+  if (got.empty()) {
+    r.skipped = true;
+    return r;
+  }
+  r.stats = compare_f32(got, want);
+  r.output_hash = hash_bits(got);
+  std::ostringstream os;
+  os << "in=" << shape_str(input.shape()) << " k=" << kh << "x" << kw << " out_c=" << out_c
+     << (pad == nn::Padding::kValid ? " valid" : " same") << " stride=" << stride
+     << " act=" << static_cast<int>(act) << (bias ? " bias" : "");
+  r.detail = os.str();
+  return r;
+}
+
 // End-to-end collapsed network: fp16 upscale vs the fp32 upscale in double.
 // This is the deployment question ("how much quality does fp16 cost?") in
 // audit form; the tolerance bounds the layer-by-layer rounding drift through
@@ -1173,6 +1231,10 @@ std::vector<AuditPair> make_builtin_pairs() {
                    "fp16-storage conv (fp32 accumulate, rounded store) vs double conv on the "
                    "rounded operands",
                    2e-2, 0.0, conv2d_fp16_trial});
+  pairs.push_back({"conv2d_fp16_direct_vs_fp32",
+                   "fp16-storage conv (fp32 and half outputs) vs fp32 conv on the widened "
+                   "operands, generic and AVX2 (must be bit-exact)",
+                   0.0, 0.0, conv2d_fp16_direct_trial});
   pairs.push_back({"collapsed_fp16_vs_fp32",
                    "collapsed network fp16 upscale vs fp32 upscale (cumulative rounding drift)",
                    1e-2, 0.0, collapsed_fp16_trial});

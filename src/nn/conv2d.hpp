@@ -40,11 +40,13 @@ Tensor conv2d_bias(const Tensor& input, const Tensor& weight, const Tensor& bias
 Tensor conv2d_fused(const Tensor& input, const Tensor& weight, const Tensor* bias,
                     const Epilogue& epilogue, Padding padding, std::int64_t stride = 1);
 
-// Reduced-precision forward: input and weight are binary16 storage, the GEMM
-// accumulates in fp32 (gemm_fp16w), bias add and activation ride the fused
-// epilogue in fp32, and each finished output stripe is rounded to binary16
-// exactly once. Deterministic for any thread count (fixed stripe boundaries,
-// fixed k-block order), so tiled and full-frame fp16 inference agree bitwise.
+// Reduced-precision forward: input and weight are binary16 storage, widened
+// exactly to fp32 and run through the fp32 kernels (the direct kernels for
+// stride-1 SAME windows, widening input rows as they are staged; the GEMM
+// routes otherwise), so bias add and activation ride the fused epilogue in
+// fp32 and each finished output stripe is rounded to binary16 exactly once.
+// Bit-identical to conv2d_fused on the widened operands, for any thread
+// count, so tiled and full-frame fp16 inference agree bitwise.
 fp16::HalfTensor conv2d_fp16(const fp16::HalfTensor& input, const fp16::HalfTensor& weight,
                              const Tensor* bias, const Epilogue& epilogue, Padding padding,
                              std::int64_t stride = 1);

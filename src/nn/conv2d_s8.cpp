@@ -38,9 +38,9 @@ ConvGeometry conv_geometry_s8(const Shape& in_s, const Shape& w_s, Padding paddi
 // offset-binary u8 image (the conv entry point quantizes the whole activation
 // tensor exactly once per layer via nn::quantize_u8_run — quantizing inside
 // this row source instead would redo the same pixel kh*kw times and dominate
-// the layer). Structure mirrors Im2colFp16Source (kernel-row-contiguous
-// memcpy runs with horizontal clamps); out-of-bounds taps emit the quantized
-// zero point instead of 0.0f.
+// the layer). Each kernel row of a slice is one contiguous memcpy run (the
+// kx taps are adjacent in NHWC memory) with horizontal clamps; out-of-bounds
+// taps emit the quantized zero point instead of 0.0f.
 struct Im2colS8Source {
   const std::uint8_t* img;  // base of quantized batch image n
   const ConvGeometry* g;

@@ -2,10 +2,11 @@
 //
 // Weights are quantized once per tensor (symmetric, per-output-channel) into
 // an S8ConvWeights bundle; activations stay fp32 between layers (the "fp32
-// carrier") and are quantized on the fly with a calibrated per-tensor scale
-// inside the GEMM's implicit-im2col A-pack, mirroring Im2colFp16Source. The
-// fused dequant -> bias -> activation epilogue writes fp32 output directly,
-// so a quantized layer is a drop-in replacement for conv2d_fused.
+// carrier") and are quantized once per layer with a calibrated per-tensor
+// scale; the GEMM's A-pack lowers im2col from that quantized image, so no
+// column matrix is ever built. The fused dequant -> bias -> activation
+// epilogue writes fp32 output directly, so a quantized layer is a drop-in
+// replacement for conv2d_fused.
 //
 // Exactness contract: for a fixed activation scale, quantization is
 // elementwise and padding quantizes to the zero point, so cropping commutes

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "tensor/fp16.hpp"
 #include "tensor/scratch.hpp"
 #include "tensor/thread_pool.hpp"
 
@@ -231,12 +233,30 @@ StripeFn pick_stripe_fn(bool narrow) {
   return narrow ? narrow_stripe_generic : wide_stripe_generic;
 }
 
+// n input values as fp32: a copy, or the exact widening of binary16.
+inline void widen(const float* src, float* dst, std::int64_t n) {
+  std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+}
+inline void widen(const fp16::Half* src, float* dst, std::int64_t n) {
+  fp16::convert_to_float(src, dst, n);
+}
+
+// An input row as fp32: the row itself, or its binary16 values widened into
+// `buf` (n floats).
+inline const float* fp32_row(const float* row, std::int64_t /*n*/, float* /*buf*/) { return row; }
+inline const float* fp32_row(const fp16::Half* row, std::int64_t n, float* buf) {
+  widen(row, buf, n);
+  return buf;
+}
+
 // Staging: staged row sy holds input row y0 - pad_top + sy (all zeros when
 // that row lies in the padding) as wp = in_w + kw - 1 pixels: pad_left zero
 // pixels, the row, then zeros. The NHWC stage keeps pixels interleaved
 // (wide tile); the planar stage gives each channel its own plane of `plane`
-// floats, slack zeroed (narrow tile).
-void stage_rows_nhwc(const float* image, const ConvGeometry& g, std::int64_t y0,
+// floats, slack zeroed (narrow tile). Binary16 rows are widened as they are
+// staged, so no fp32 copy of the whole input ever exists.
+template <typename In>
+void stage_rows_nhwc(const In* image, const ConvGeometry& g, std::int64_t y0,
                      std::int64_t staged_rows, float* dst) {
   const std::int64_t cin = g.channels;
   const std::int64_t pitch = (g.in_w + g.kw - 1) * cin;
@@ -250,7 +270,7 @@ void stage_rows_nhwc(const float* image, const ConvGeometry& g, std::int64_t y0,
       continue;
     }
     std::fill(row, row + left, 0.0F);
-    std::memcpy(row + left, image + iy * len, static_cast<std::size_t>(len) * sizeof(float));
+    widen(image + iy * len, row + left, len);
     std::fill(row + left + len, row + pitch, 0.0F);
   }
 }
@@ -269,8 +289,10 @@ inline void transpose4(Quad (&q)[4]) {
   q[3] = __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7);
 }
 
-void stage_rows_planar(const float* image, const ConvGeometry& g, std::int64_t y0,
-                       std::int64_t staged_rows, std::int64_t plane, float* dst) {
+// `rowbuf` holds one widened binary16 input row (in_w * channels floats).
+template <typename In>
+void stage_rows_planar(const In* image, const ConvGeometry& g, std::int64_t y0,
+                       std::int64_t staged_rows, std::int64_t plane, float* rowbuf, float* dst) {
   const std::int64_t cin = g.channels;
   const std::int64_t wp = g.in_w + g.kw - 1;
   for (std::int64_t sy = 0; sy < staged_rows; ++sy) {
@@ -288,7 +310,7 @@ void stage_rows_planar(const float* image, const ConvGeometry& g, std::int64_t y
     if (!inside) continue;
     // The NHWC row is read once, 4 pixels x 4 channels at a time, and each
     // block is transposed in registers into 4 channel planes.
-    const float* src = image + iy * g.in_w * cin;
+    const float* src = fp32_row(image + iy * g.in_w * cin, g.in_w * cin, rowbuf);
     float* base = dst + sy * wp + g.pad_left;
     const std::int64_t x4 = g.in_w / 4 * 4;
     const std::int64_t c4 = cin / 4 * 4;
@@ -316,11 +338,13 @@ void stage_rows_planar(const float* image, const ConvGeometry& g, std::int64_t y
   }
 }
 
-}  // namespace
-
-void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g,
-                   const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
-                   float* out) {
+// Exactly one of `out` / `out_half` is non-null. Half outputs land in an fp32
+// stripe buffer and are rounded to binary16 once, after the stripe's last
+// k-block.
+template <typename In>
+void conv2d_direct_impl(const In* input, std::int64_t batch, const ConvGeometry& g,
+                        const float* weight, std::int64_t out_c, const float* bias,
+                        const Epilogue* epi, float* out, fp16::Half* out_half) {
   if (epi != nullptr && epi->act == Epilogue::Act::kPRelu && epi->prelu_alpha == nullptr) {
     throw std::invalid_argument("conv2d_direct: kPRelu requires prelu_alpha");
   }
@@ -338,6 +362,14 @@ void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g
   const std::int64_t stage_floats = narrow ? cin * plane : staged_rows_max * wp * cin;
   const std::int64_t panel_cols = narrow ? kNarrowNr : (out_c % kWideNr != 0 ? kWideNr : 0);
   const std::int64_t panel_j0 = narrow ? 0 : out_c / kWideNr * kWideNr;
+  // Per-stripe buffer: staging, weight panel, then (binary16 only) the planar
+  // stage's widened input row and the fp32 output stripe.
+  const std::int64_t panel_floats = k * panel_cols;
+  const std::int64_t row_floats =
+      std::is_same_v<In, fp16::Half> && narrow ? g.in_w * cin : 0;
+  const std::int64_t stripe_out = stripe_rows * g.out_w * out_c;
+  const std::int64_t buf_floats =
+      stage_floats + panel_floats + row_floats + (out_half != nullptr ? stripe_out : 0);
 
   // k -> offset of A(k) from a pixel's staged base, k = (ky * kw + kx) * cin + c
   // as in im2col. Built once per call by the calling thread; the stripes only
@@ -361,22 +393,23 @@ void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g
     const std::int64_t n = idx / stripes;
     const std::int64_t y0 = (idx % stripes) * stripe_rows;
     const std::int64_t rows = std::min(stripe_rows, g.out_h - y0);
-    float* buf = scratch_floats(ScratchSlot::kConvStage,
-                                static_cast<std::size_t>(stage_floats + k * panel_cols))
-                     .data();
-    const float* image = input + in_shape.offset(n, 0, 0, 0);
+    float* buf =
+        scratch_floats(ScratchSlot::kConvStage, static_cast<std::size_t>(buf_floats)).data();
+    float* panel = buf + stage_floats;
+    float* rowbuf = panel + panel_floats;
+    const In* image = input + in_shape.offset(n, 0, 0, 0);
     if (narrow) {
-      stage_rows_planar(image, g, y0, rows + g.kh - 1, plane, buf);
+      stage_rows_planar(image, g, y0, rows + g.kh - 1, plane, rowbuf, buf);
     } else {
       stage_rows_nhwc(image, g, y0, rows + g.kh - 1, buf);
     }
-    float* panel = buf + stage_floats;
     for (std::int64_t p = 0; p < k; ++p) {
       for (std::int64_t j = 0; j < panel_cols; ++j) {
         panel[p * panel_cols + j] =
             panel_j0 + j < out_c ? weight[p * out_c + panel_j0 + j] : 0.0F;
       }
     }
+    const std::int64_t out_off = (n * g.rows() + y0 * g.out_w) * out_c;
     Stripe s;
     s.stage = buf;
     s.row_pitch = narrow ? wp : wp * cin;
@@ -390,9 +423,29 @@ void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g
     s.rows = rows;
     s.bias = bias;
     s.epi = epi;
-    s.out = out + (n * g.rows() + y0 * g.out_w) * out_c;
+    s.out = out_half != nullptr ? rowbuf + row_floats : out + out_off;
     run(s);
+    if (out_half != nullptr) {
+      fp16::convert_to_half(s.out, out_half + out_off, rows * g.out_w * out_c);
+    }
   });
+}
+
+}  // namespace
+
+void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g,
+                   const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
+                   float* out) {
+  conv2d_direct_impl(input, batch, g, weight, out_c, bias, epi, out, nullptr);
+}
+
+void conv2d_direct(const fp16::Half* input, std::int64_t batch, const ConvGeometry& g,
+                   const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
+                   float* out, fp16::Half* out_half) {
+  if ((out == nullptr) == (out_half == nullptr)) {
+    throw std::invalid_argument("conv2d_direct: exactly one output must be given");
+  }
+  conv2d_direct_impl(input, batch, g, weight, out_c, bias, epi, out, out_half);
 }
 
 }  // namespace sesr::nn

@@ -1,11 +1,12 @@
-// Direct (im2col-free) fp32 forward for stride-1 SAME convolutions.
+// Direct (im2col-free) forward for stride-1 SAME convolutions.
 //
 // conv2d_impl (src/nn/conv2d.cpp) routes every stride-1 SAME conv with
-// kh*kw > 1 here; strided, VALID, zero-skip and 1x1 convs keep the im2col /
-// GEMM path. Instead of lowering a stripe into an im2col matrix and packing
-// that into GEMM panels, each stripe of whole output rows copies its input
-// rows once into a zero-padded staging buffer, and the register tiles read
-// the A operand straight from it through a per-k offset table:
+// kh*kw > 1 here, and so do the fp16 conv entry points; strided, VALID,
+// zero-skip and 1x1 convs keep the im2col / GEMM path. Instead of lowering a
+// stripe into an im2col matrix and packing that into GEMM panels, each stripe
+// of whole output rows copies its input rows once into a zero-padded staging
+// buffer, and the register tiles read the A operand straight from it through
+// a per-k offset table:
 //  - wide tile (out_c > 4): 6 output pixels x 16 output channels. A is
 //    broadcast from NHWC staging; B is the HWIO weight itself (already the
 //    row-major [kh*kw*cin][out_c] GEMM operand), read in 16-column panels,
@@ -18,12 +19,18 @@
 // added to the stored value, and the activation is applied after the last
 // block. The result is bit-identical to im2col_rows + gemm_fused under the
 // same GemmIsa dispatch, for any thread count.
+//
+// fp16 storage is fp32 arithmetic on exactly widened binary16 operands: the
+// staging copy widens binary16 input rows as it stages them, and a half
+// output rounds each finished fp32 stripe once on store. So the fp16 forward
+// is bit-identical to this fp32 forward on the widened input and weight.
 #pragma once
 
 #include <cstdint>
 
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
+#include "tensor/fp16.hpp"
 
 namespace sesr::nn {
 
@@ -34,5 +41,12 @@ namespace sesr::nn {
 void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g,
                    const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
                    float* out);
+
+// Binary16 input; the weight is already widened to fp32. Exactly one of
+// `out` (fp32 result) and `out_half` (the result rounded to binary16) is
+// non-null.
+void conv2d_direct(const fp16::Half* input, std::int64_t batch, const ConvGeometry& g,
+                   const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
+                   float* out, fp16::Half* out_half);
 
 }  // namespace sesr::nn

@@ -61,59 +61,6 @@ void pack_b_block(const float* b, std::int64_t rs, std::int64_t cs, std::int64_t
   }
 }
 
-// Fp16 packing fuses the F16C widening into the pack: each source row is
-// converted once into `rowbuf` (kc or nc floats — L1-resident) and scattered
-// straight into the packed panel. Staging whole mc x kc / kc x nc blocks to
-// fp32 first (the obvious factoring) doubles the pack traffic through L2/L3
-// and erases the bandwidth the half-width operands were meant to save.
-// Conversion and panel layout are identical to convert_to_float +
-// pack_a_block/pack_b_block, so results stay bit-identical to widening up
-// front (tests/test_nn.cpp, Gemm.Fp16WeightsMatchWidenedFp32).
-// The A side generalizes one step further: rows come from an Fp16RowSource
-// callback rather than a stored matrix, so the conv path can run im2col
-// inside the pack (implicit lowering — no column matrix in memory at all).
-// The contiguous-matrix case is just the trivial producer below.
-void pack_a_fp16_rows(Fp16RowSource src, const void* ctx, std::int64_t mr_panel, std::int64_t i0,
-                      std::int64_t mc, std::int64_t p0, std::int64_t kc, float* rowbuf,
-                      float* dst) {
-  for (std::int64_t ii = 0; ii < mc; ii += mr_panel) {
-    const std::int64_t ib = std::min(mr_panel, mc - ii);
-    float* panel = dst + ii * kc;
-    for (std::int64_t i = 0; i < ib; ++i) {
-      src(ctx, i0 + ii + i, p0, kc, rowbuf);
-      for (std::int64_t p = 0; p < kc; ++p) panel[p * mr_panel + i] = rowbuf[p];
-    }
-    for (std::int64_t i = ib; i < mr_panel; ++i) {
-      for (std::int64_t p = 0; p < kc; ++p) panel[p * mr_panel + i] = 0.0F;
-    }
-  }
-}
-
-struct ContigFp16A {
-  const fp16::Half* a;
-  std::int64_t k;
-};
-
-void contig_fp16_row(const void* vctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
-                     float* dst) {
-  const auto& ctx = *static_cast<const ContigFp16A*>(vctx);
-  fp16::convert_to_float(ctx.a + row * ctx.k + p0, dst, kc);
-}
-
-void pack_b_fp16(const fp16::Half* b, std::int64_t n, std::int64_t p0, std::int64_t kc,
-                 std::int64_t j0, std::int64_t nc, float* rowbuf, float* dst) {
-  for (std::int64_t p = 0; p < kc; ++p) {
-    fp16::convert_to_float(b + (p0 + p) * n + j0, rowbuf, nc);
-    for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-      const std::int64_t jb = std::min(kNr, nc - jj);
-      float* panel = dst + jj * kc + p * kNr;
-      std::int64_t j = 0;
-      for (; j < jb; ++j) panel[j] = rowbuf[jj + j];
-      for (; j < kNr; ++j) panel[j] = 0.0F;
-    }
-  }
-}
-
 // The two tile bodies are inlined into each ISA-specific wrapper below so the
 // compiler vectorizes them for that target. The full-tile body only ever
 // indexes the accumulator array with compile-time constants — that is what
@@ -249,70 +196,9 @@ MicroKernelFn pick_micro_kernel() {
   return micro_kernel_generic;
 }
 
-// ---------------------------------------------------------------------------
-// Narrow-N register tile for the fp16 deployment GEMM. Collapsed SESR tails
-// are n = 4 (out_c = 4 * scale^2 / 4 at x2), and the 6x16 tile then burns 3/4
-// of every FMA on masked-out columns (~7 GFLOP/s measured). Flipping the tile
-// — vector lanes along ROWS, scalar broadcast along the 4 columns — keeps
-// every lane live: acc[j] spans kMrN packed rows, B values broadcast. The
-// per-element summation order is still p-sequential within the k-block, so
-// results are bit-identical to the wide tile.
-constexpr std::int64_t kMrN = 16;  // rows per narrow tile (2 vectors of 8)
-constexpr std::int64_t kNrN = 4;   // columns per narrow tile
-
-__attribute__((always_inline)) inline void micro_tile_narrow_body(
-    const float* ap, const float* bp, std::int64_t kc, float* c, std::int64_t ldc,
-    std::int64_t mr, std::int64_t nr, bool accumulate, const float* bias, const Epilogue* epi) {
-  float acc[kNrN][kMrN] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* arow = ap + p * kMrN;
-    const float* brow = bp + p * kNrN;
-    for (std::int64_t j = 0; j < kNrN; ++j) {
-      const float bv = brow[j];
-#pragma omp simd
-      for (std::int64_t i = 0; i < kMrN; ++i) acc[j][i] += arow[i] * bv;
-    }
-  }
-  for (std::int64_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) {
-      if (accumulate) {
-        crow[j] += acc[j][i];
-      } else {
-        crow[j] = acc[j][i] + (bias != nullptr ? bias[j] : 0.0F);
-      }
-    }
-  }
-  apply_epilogue_rows(c, ldc, mr, nr, epi);
-}
-
-void micro_kernel_narrow_generic(const float* ap, const float* bp, std::int64_t kc, float* c,
-                                 std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                                 bool accumulate, const float* bias, const Epilogue* epi) {
-  micro_tile_narrow_body(ap, bp, kc, c, ldc, mr, nr, accumulate, bias, epi);
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2,fma"))) void micro_kernel_narrow_avx2(
-    const float* ap, const float* bp, std::int64_t kc, float* c, std::int64_t ldc,
-    std::int64_t mr, std::int64_t nr, bool accumulate, const float* bias, const Epilogue* epi) {
-  micro_tile_narrow_body(ap, bp, kc, c, ldc, mr, nr, accumulate, bias, epi);
-}
-#endif
-
-MicroKernelFn pick_narrow_kernel() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return micro_kernel_narrow_avx2;
-  }
-#endif
-  return micro_kernel_narrow_generic;
-}
-
 // Atomic so the audit's set_gemm_isa() between sweeps is race-free against
 // worker threads reading the dispatch inside gemm_tiled.
 std::atomic<MicroKernelFn> g_micro_kernel{pick_micro_kernel()};
-std::atomic<MicroKernelFn> g_narrow_kernel{pick_narrow_kernel()};
 
 // Shared macro-kernel: packs panels and walks register tiles. Summation over k
 // happens in kKc blocks in a fixed order, so results for a given (m, k, n) are
@@ -379,106 +265,6 @@ void gemm_tiled(const float* a, std::int64_t a_rs, std::int64_t a_cs, const floa
   }
 }
 
-// fp16-storage macro-kernel: same blocking and k-summation order as
-// gemm_tiled, but A rows come from an Fp16RowSource (widened fp32 values) and
-// the B panel is widened during its pack. Because conversion is elementwise
-// and the packed panels end up identical, the output is bit-identical to
-// widening A and B up front and calling gemm_tiled — without an fp32 copy of
-// either operand ever existing (only row-sized L1 conversion buffers).
-void gemm_tiled_fp16(Fp16RowSource src, const void* ctx, const fp16::Half* b, const float* bias,
-                     float* c, std::int64_t m, std::int64_t k, std::int64_t n,
-                     const Epilogue* epi) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) c[i * n + j] = bias != nullptr ? bias[j] : 0.0F;
-      apply_epilogue_rows(c + i * n, n, 1, n, epi);
-    }
-    return;
-  }
-  const std::int64_t kc_max = std::min(k, kKc);
-  // n <= kNrN takes the narrow tile (see micro_tile_narrow_body): one column
-  // block, A packed kMrN rows per panel, B widened into a kNrN-strided panel.
-  if (n <= kNrN) {
-    const MicroKernelFn narrow = g_narrow_kernel.load(std::memory_order_relaxed);
-    float* bpack = scratch_floats(ScratchSlot::kGemmPackB,
-                                  static_cast<std::size_t>(kNrN * kc_max))
-                       .data();
-    float* apack =
-        scratch_floats(ScratchSlot::kGemmPackA, static_cast<std::size_t>(kMc * kc_max)).data();
-    float* arowbuf =
-        scratch_floats(ScratchSlot::kF16StageA, static_cast<std::size_t>(kc_max)).data();
-    float browbuf[kNrN];
-    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::int64_t kc = std::min(kKc, k - p0);
-      const bool first_k = p0 == 0;
-      const bool last_k = p0 + kKc >= k;
-      const float* bias_block = (first_k && bias != nullptr) ? bias : nullptr;
-      const Epilogue* epi_block = (last_k && epi != nullptr) ? epi : nullptr;
-      for (std::int64_t p = 0; p < kc; ++p) {
-        fp16::convert_to_float(b + (p0 + p) * n, browbuf, n);
-        std::int64_t j = 0;
-        for (; j < n; ++j) bpack[p * kNrN + j] = browbuf[j];
-        for (; j < kNrN; ++j) bpack[p * kNrN + j] = 0.0F;
-      }
-      for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
-        const std::int64_t mc = std::min(kMc, m - i0);
-        pack_a_fp16_rows(src, ctx, kMrN, i0, mc, p0, kc, arowbuf, apack);
-        for (std::int64_t ii = 0; ii < mc; ii += kMrN) {
-          narrow(apack + ii * kc, bpack, kc, c + (i0 + ii) * n, n, std::min(kMrN, mc - ii), n,
-                 !first_k, bias_block, epi_block);
-        }
-      }
-    }
-    return;
-  }
-  const MicroKernelFn micro_kernel = g_micro_kernel.load(std::memory_order_relaxed);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t nc_round = (nc_max + kNr - 1) / kNr * kNr;
-  float* bpack = scratch_floats(ScratchSlot::kGemmPackB,
-                                static_cast<std::size_t>(nc_round * kc_max))
-                     .data();
-  float* apack =
-      scratch_floats(ScratchSlot::kGemmPackA, static_cast<std::size_t>(kMc * kc_max)).data();
-  // Row-sized conversion buffers for the fused convert+pack (see pack_b_fp16).
-  float* browbuf =
-      scratch_floats(ScratchSlot::kF16StageB, static_cast<std::size_t>(nc_max)).data();
-  float* arowbuf =
-      scratch_floats(ScratchSlot::kF16StageA, static_cast<std::size_t>(kc_max)).data();
-  for (std::int64_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::int64_t nc = std::min(kNc, n - j0);
-    for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const std::int64_t kc = std::min(kKc, k - p0);
-      const bool first_k = p0 == 0;
-      const bool last_k = p0 + kKc >= k;
-      const float* bias_block = (first_k && bias != nullptr) ? bias : nullptr;
-      const Epilogue* epi_block = (last_k && epi != nullptr) ? epi : nullptr;
-      pack_b_fp16(b, n, p0, kc, j0, nc, browbuf, bpack);
-      for (std::int64_t i0 = 0; i0 < m; i0 += kMc) {
-        const std::int64_t mc = std::min(kMc, m - i0);
-        pack_a_fp16_rows(src, ctx, kMr, i0, mc, p0, kc, arowbuf, apack);
-        for (std::int64_t jj = 0; jj < nc; jj += kNr) {
-          const std::int64_t nr = std::min(kNr, nc - jj);
-          Epilogue tile_epi;
-          const Epilogue* tile_epi_ptr = nullptr;
-          if (epi_block != nullptr && epi_block->act != Epilogue::Act::kNone) {
-            tile_epi.act = epi_block->act;
-            tile_epi.prelu_alpha = epi_block->prelu_alpha != nullptr
-                                       ? epi_block->prelu_alpha + j0 + jj
-                                       : nullptr;
-            tile_epi_ptr = &tile_epi;
-          }
-          for (std::int64_t ii = 0; ii < mc; ii += kMr) {
-            micro_kernel(apack + ii * kc, bpack + jj * kc, kc,
-                           c + (i0 + ii) * n + (j0 + jj), n, std::min(kMr, mc - ii), nr,
-                           !first_k,
-                           bias_block != nullptr ? bias_block + j0 + jj : nullptr, tile_epi_ptr);
-          }
-        }
-      }
-    }
-  }
-}
 }  // namespace
 
 bool gemm_avx2_supported() {
@@ -498,17 +284,14 @@ bool set_gemm_isa(GemmIsa isa) {
   switch (isa) {
     case GemmIsa::kAuto:
       g_micro_kernel.store(pick_micro_kernel(), std::memory_order_relaxed);
-      g_narrow_kernel.store(pick_narrow_kernel(), std::memory_order_relaxed);
       return true;
     case GemmIsa::kGeneric:
       g_micro_kernel.store(micro_kernel_generic, std::memory_order_relaxed);
-      g_narrow_kernel.store(micro_kernel_narrow_generic, std::memory_order_relaxed);
       return true;
     case GemmIsa::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       if (gemm_avx2_supported()) {
         g_micro_kernel.store(micro_kernel_avx2, std::memory_order_relaxed);
-        g_narrow_kernel.store(micro_kernel_narrow_avx2, std::memory_order_relaxed);
         return true;
       }
 #endif
@@ -544,45 +327,6 @@ void gemm_fused(std::span<const float> a, std::span<const float> b, std::span<co
   }
   gemm_tiled(a.data(), k, 1, b.data(), n, 1, bias.empty() ? nullptr : bias.data(), c.data(), m, k,
              n, false, &epilogue);
-}
-
-void gemm_fp16w(std::span<const fp16::Half> a, std::span<const fp16::Half> b,
-                std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
-                std::int64_t n, const Epilogue& epilogue) {
-  if (m < 0 || k < 0 || n < 0 || static_cast<std::int64_t>(a.size()) < m * k ||
-      static_cast<std::int64_t>(b.size()) < k * n ||
-      static_cast<std::int64_t>(c.size()) < m * n) {
-    throw std::invalid_argument("gemm_fp16w: buffer sizes inconsistent with m/k/n");
-  }
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_fp16w: bias must hold n elements");
-  }
-  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
-    throw std::invalid_argument("gemm_fp16w: kPRelu requires prelu_alpha");
-  }
-  const ContigFp16A ctx{a.data(), k};
-  gemm_tiled_fp16(contig_fp16_row, &ctx, b.data(), bias.empty() ? nullptr : bias.data(), c.data(),
-                  m, k, n, &epilogue);
-}
-
-void gemm_fp16_rows(Fp16RowSource src, const void* ctx, std::span<const fp16::Half> b,
-                    std::span<const float> bias, std::span<float> c, std::int64_t m,
-                    std::int64_t k, std::int64_t n, const Epilogue& epilogue) {
-  if (src == nullptr) {
-    throw std::invalid_argument("gemm_fp16_rows: null row source");
-  }
-  if (m < 0 || k < 0 || n < 0 || static_cast<std::int64_t>(b.size()) < k * n ||
-      static_cast<std::int64_t>(c.size()) < m * n) {
-    throw std::invalid_argument("gemm_fp16_rows: buffer sizes inconsistent with m/k/n");
-  }
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) < n) {
-    throw std::invalid_argument("gemm_fp16_rows: bias must hold n elements");
-  }
-  if (epilogue.act == Epilogue::Act::kPRelu && epilogue.prelu_alpha == nullptr) {
-    throw std::invalid_argument("gemm_fp16_rows: kPRelu requires prelu_alpha");
-  }
-  gemm_tiled_fp16(src, ctx, b.data(), bias.empty() ? nullptr : bias.data(), c.data(), m, k, n,
-                  &epilogue);
 }
 
 void gemm_accumulate(std::span<const float> a, std::span<const float> b, std::span<float> c,

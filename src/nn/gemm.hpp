@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <span>
 
-#include "tensor/fp16.hpp"
-
 namespace sesr::nn {
 
 // Which micro-kernel build the dense GEMM dispatches to. kAuto picks the best
@@ -87,34 +85,6 @@ void gemm_bias(std::span<const float> a, std::span<const float> b, std::span<con
 void gemm_fused(std::span<const float> a, std::span<const float> b, std::span<const float> bias,
                 std::span<float> c, std::int64_t m, std::int64_t k, std::int64_t n,
                 const Epilogue& epilogue);
-
-// C = act(A * B + bias) where A [m x k] and B [k x n] are stored as binary16.
-// Operands are widened to fp32 inside the pack (row-sized L1 buffers,
-// vectorized through the fp16 dispatch seam) and fed to the same packed
-// micro-kernel, so accumulation is fp32 and the result is bit-identical to
-// converting A and B up front and calling gemm_fused. C is fp32; callers that
-// want fp16 activations round the output stripe afterwards.
-void gemm_fp16w(std::span<const fp16::Half> a, std::span<const fp16::Half> b,
-                std::span<const float> bias, std::span<float> c, std::int64_t m, std::int64_t k,
-                std::int64_t n, const Epilogue& epilogue);
-
-// Produces the widened fp32 values of logical A row `row`, k-slice
-// [p0, p0 + kc), into dst (kc floats). Called once per (row, k-block) from
-// inside the fp16 GEMM's A-pack, so the values go straight into the packed
-// panel without an intermediate A matrix ever existing in memory.
-using Fp16RowSource = void (*)(const void* ctx, std::int64_t row, std::int64_t p0,
-                               std::int64_t kc, float* dst);
-
-// gemm_fp16w with an implicit A operand: rows are generated on demand by
-// `src` instead of being read from a stored [m x k] matrix. This is how the
-// fp16 conv path runs im2col — the lowering happens inside the pack, so the
-// half-precision column matrix (the largest buffer of the explicit scheme,
-// written once and re-read once per GEMM call) is never materialized. Results
-// are bit-identical to building the A matrix with the same producer and
-// calling gemm_fp16w, because the packed panels are identical.
-void gemm_fp16_rows(Fp16RowSource src, const void* ctx, std::span<const fp16::Half> b,
-                    std::span<const float> bias, std::span<float> c, std::int64_t m,
-                    std::int64_t k, std::int64_t n, const Epilogue& epilogue);
 
 // C += A * B (accumulating variant used by gradient accumulation over a batch).
 void gemm_accumulate(std::span<const float> a, std::span<const float> b, std::span<float> c,

@@ -93,7 +93,7 @@ std::vector<std::int32_t> s8_column_sums(std::span<const std::int8_t> b, std::in
 
 // Produces logical A row `row`, k-slice [p0, p0 + kc), as offset-binary u8
 // bytes into dst. Called from inside the A-pack, so the quantized im2col
-// matrix never exists in memory (mirrors Fp16RowSource).
+// matrix never exists in memory.
 using S8RowSource = void (*)(const void* ctx, std::int64_t row, std::int64_t p0, std::int64_t kc,
                              std::uint8_t* dst);
 

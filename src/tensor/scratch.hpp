@@ -32,12 +32,10 @@ enum class ScratchSlot : std::size_t {
   kGemmPackA = 0,   // packed A panels inside gemm
   kGemmPackB,       // packed B panels inside gemm
   kIm2col,          // per-stripe im2col patch matrix (strided/VALID conv fwd, weight grad)
-  kConvStage,       // direct conv: per-stripe padded input rows + weight panel
+  kConvStage,       // direct conv: per-stripe padded input rows, weight panel, fp16 out stripe
   kConvCols,        // full-image column matrix (conv backward input)
   kGradPartial,     // per-stripe weight/bias gradient partials
-  kF16StageA,       // fp32 row buffer for the fp16 GEMM's A-pack widening
-  kF16StageB,       // fp32 row buffer for the fp16 GEMM's B-pack widening
-  kF16OutStripe,    // fp32 conv output stripe before the fp16 store
+  kF16Widen,        // fp16 conv: widened weight (+ input/output off the direct kernels)
   kS8PackA,         // packed u8 activation panels inside the int8 GEMM
   kS8PackB,         // packed s8 weight panels inside the int8 GEMM
   kS8Quant,         // bulk-quantized u8 input image (int8 conv forward)

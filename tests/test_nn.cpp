@@ -197,36 +197,6 @@ TEST(Gemm, FusedPReluRequiresAlpha) {
                std::invalid_argument);
 }
 
-TEST(Gemm, Fp16WeightsMatchWidenedFp32) {
-  // gemm_fp16w stages the binary16 operands through the same packing as the
-  // fp32 kernel, so it must agree bitwise with widening up front and calling
-  // gemm_fused on the fp32 copies.
-  const std::tuple<std::int64_t, std::int64_t, std::int64_t> shapes[] = {
-      {1, 1, 1}, {7, 17, 15}, {25, 300, 33}, {97, 40, 17}};
-  for (const auto& [m, k, n] : shapes) {
-    Rng rng(59 + m + k + n);
-    std::vector<float> af(static_cast<std::size_t>(m * k));
-    std::vector<float> bf(static_cast<std::size_t>(k * n));
-    std::vector<float> bias(static_cast<std::size_t>(n));
-    for (float& v : af) v = rng.uniform(-1.0F, 1.0F);
-    for (float& v : bf) v = rng.uniform(-1.0F, 1.0F);
-    for (float& v : bias) v = rng.uniform(-1.0F, 1.0F);
-    std::vector<fp16::Half> ah(af.size());
-    std::vector<fp16::Half> bh(bf.size());
-    fp16::convert_to_half(af.data(), ah.data(), static_cast<std::int64_t>(af.size()));
-    fp16::convert_to_half(bf.data(), bh.data(), static_cast<std::int64_t>(bf.size()));
-    // Widen the *rounded* halves back so both kernels see identical values.
-    fp16::convert_to_float(ah.data(), af.data(), static_cast<std::int64_t>(af.size()));
-    fp16::convert_to_float(bh.data(), bf.data(), static_cast<std::int64_t>(bf.size()));
-    std::vector<float> want(static_cast<std::size_t>(m * n));
-    std::vector<float> got(want.size());
-    const Epilogue epilogue{Epilogue::Act::kRelu, nullptr};
-    gemm_fused(af, bf, bias, want, m, k, n, epilogue);
-    gemm_fp16w(ah, bh, bias, got, m, k, n, epilogue);
-    EXPECT_EQ(got, want) << "m=" << m << " k=" << k << " n=" << n;
-  }
-}
-
 TEST(Gemm, AtBAccumulateMatchesReference) {
   constexpr std::int64_t m = 29;
   constexpr std::int64_t k = 330;  // spans two k-blocks
@@ -537,6 +507,8 @@ struct DirectCase {
   std::int64_t batch, h, w, cin, cout, k;
   bool bias;
   Epilogue::Act act;
+  Padding pad = Padding::kSame;
+  std::int64_t stride = 1;
 };
 
 void PrintTo(const DirectCase& c, std::ostream* os) { *os << c.name; }
@@ -595,20 +567,39 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 
 class DirectConv : public ::testing::TestWithParam<DirectCase> {};
 
+// One case's random operands. The epilogue points into `alpha`, so the struct
+// is filled in place and never copied.
+struct DirectOperands {
+  Tensor x, w, bias, alpha;
+  Epilogue epi;
+  const Tensor* b = nullptr;
+
+  explicit DirectOperands(const DirectCase& c)
+      : x(c.batch, c.h, c.w, c.cin), w(c.k, c.k, c.cin, c.cout), bias(1, 1, 1, c.cout),
+        alpha(1, 1, 1, c.cout) {
+    Rng rng(
+        static_cast<std::uint64_t>(c.k * 1000003 + c.cin * 1009 + c.cout * 31 + c.h * 7 + c.w));
+    x.fill_uniform(rng, -1.0F, 1.0F);
+    const float bound = 1.0F / std::sqrt(static_cast<float>(c.k * c.k * c.cin));
+    w.fill_uniform(rng, -bound, bound);
+    bias.fill_uniform(rng, -0.5F, 0.5F);
+    alpha.fill_uniform(rng, -0.5F, 0.5F);
+    epi = {c.act, c.act == Epilogue::Act::kPRelu ? alpha.raw() : nullptr};
+    b = c.bias ? &bias : nullptr;
+  }
+  DirectOperands(const DirectOperands&) = delete;
+  DirectOperands& operator=(const DirectOperands&) = delete;
+};
+
 TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
   const DirectCase& c = GetParam();
-  Rng rng(static_cast<std::uint64_t>(c.k * 1000003 + c.cin * 1009 + c.cout * 31 + c.h * 7 + c.w));
-  Tensor x(c.batch, c.h, c.w, c.cin);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  const float bound = 1.0F / std::sqrt(static_cast<float>(c.k * c.k * c.cin));
-  Tensor w(c.k, c.k, c.cin, c.cout);
-  w.fill_uniform(rng, -bound, bound);
-  Tensor bias(1, 1, 1, c.cout);
-  bias.fill_uniform(rng, -0.5F, 0.5F);
-  Tensor alpha(1, 1, 1, c.cout);
-  alpha.fill_uniform(rng, -0.5F, 0.5F);
-  const Epilogue epi{c.act, c.act == Epilogue::Act::kPRelu ? alpha.raw() : nullptr};
-  const Tensor* b = c.bias ? &bias : nullptr;
+  const DirectOperands ops(c);
+  const Tensor& x = ops.x;
+  const Tensor& w = ops.w;
+  const Tensor& bias = ops.bias;
+  const Tensor& alpha = ops.alpha;
+  const Epilogue& epi = ops.epi;
+  const Tensor* b = ops.b;
 
   Tensor naive = conv2d_naive(x, w, Padding::kSame);
   for (std::int64_t i = 0; i < naive.numel(); ++i) {
@@ -649,6 +640,61 @@ TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DirectConv, ::testing::ValuesIn(direct_cases()),
+                         [](const ::testing::TestParamInfo<DirectCase>& info) {
+                           return info.param.name;
+                         });
+
+// fp16 convs are fp32 arithmetic on exactly widened binary16 operands: each
+// output must equal conv2d_fused on the widened input and weight bit for bit,
+// rounded through binary16 once for the half output. The sweep adds the
+// geometries without a direct kernel (1x1, VALID, stride 2), which widen
+// their operands and take the fp32 GEMM routes.
+std::vector<DirectCase> direct_fp16_cases() {
+  using A = Epilogue::Act;
+  std::vector<DirectCase> v = direct_cases();
+  for (std::int64_t cout : {4, 16}) {
+    v.push_back(direct_case(3, 13, 97, 16, cout, 1, true, A::kPRelu));
+    DirectCase valid = direct_case(1, 13, 97, 16, cout, 3, true, A::kRelu);
+    valid.pad = Padding::kValid;
+    valid.name += "_valid";
+    v.push_back(valid);
+    DirectCase strided = direct_case(1, 13, 97, 16, cout, 5, true, A::kPRelu);
+    strided.stride = 2;
+    strided.name += "_stride2";
+    v.push_back(strided);
+  }
+  return v;
+}
+
+class DirectConvFp16 : public ::testing::TestWithParam<DirectCase> {};
+
+TEST_P(DirectConvFp16, MatchesFp32OnWidenedOperandsExactly) {
+  const DirectCase& c = GetParam();
+  const DirectOperands ops(c);
+  const fp16::HalfTensor hx = fp16::HalfTensor::from_float(ops.x);
+  const fp16::HalfTensor hw = fp16::HalfTensor::from_float(ops.w);
+  const Tensor wide_x = hx.to_float();
+  const Tensor wide_w = hw.to_float();
+  for (GemmIsa isa : {GemmIsa::kGeneric, GemmIsa::kAvx2}) {
+    if (!set_gemm_isa(isa)) continue;  // AVX2 absent on this CPU
+    const Tensor want = conv2d_fused(wide_x, wide_w, ops.b, ops.epi, c.pad, c.stride);
+    Tensor want_half = want;
+    fp16::round_through_half(want_half.raw(), want_half.numel());
+    for (unsigned threads : {1U, 4U}) {
+      ThreadPool::set_global_threads(threads);
+      const char* isa_name = isa == GemmIsa::kAvx2 ? "avx2" : "generic";
+      EXPECT_TRUE(bit_equal(conv2d_fp16_to_float(hx, hw, ops.b, ops.epi, c.pad, c.stride), want))
+          << "fp32 out, " << isa_name << " threads=" << threads;
+      EXPECT_TRUE(
+          bit_equal(conv2d_fp16(hx, hw, ops.b, ops.epi, c.pad, c.stride).to_float(), want_half))
+          << "fp16 out, " << isa_name << " threads=" << threads;
+    }
+  }
+  set_gemm_isa(GemmIsa::kAuto);
+  restore_env_threads();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DirectConvFp16, ::testing::ValuesIn(direct_fp16_cases()),
                          [](const ::testing::TestParamInfo<DirectCase>& info) {
                            return info.param.name;
                          });
