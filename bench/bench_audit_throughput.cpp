@@ -35,9 +35,6 @@ void BM_AuditTrial_GemmScalar(benchmark::State& state) {
 void BM_AuditTrial_Conv2dStriped(benchmark::State& state) {
   run_pair_trials(state, "conv2d_striped");
 }
-void BM_AuditTrial_Winograd(benchmark::State& state) {
-  run_pair_trials(state, "conv2d_winograd");
-}
 void BM_AuditTrial_Int8Conv(benchmark::State& state) {
   run_pair_trials(state, "conv2d_int8_vs_ref");
 }
@@ -50,7 +47,6 @@ void BM_AuditTrial_ResizeBicubic(benchmark::State& state) {
 
 BENCHMARK(BM_AuditTrial_GemmScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Conv2dStriped)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AuditTrial_Winograd)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Int8Conv)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_Int8Network)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AuditTrial_ResizeBicubic)->Unit(benchmark::kMillisecond);

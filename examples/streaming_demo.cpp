@@ -2,18 +2,19 @@
 // that peak memory stays flat as the image grows taller — the functional
 // counterpart of the NPU cascade fusion behind the paper's Table 3 numbers.
 // Beside it, the full-frame pass's planned activation arena grows with the
-// frame. Exits nonzero if any streamed output disagrees with the full frame.
+// frame. Exits nonzero if any streamed output differs from the full frame in
+// a single bit: both run the same kernels, the streamer one row at a time.
 //
 // Run:  ./streaming_demo [width]      (default 256)
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/sesr_inference.hpp"
 #include "core/sesr_network.hpp"
 #include "core/streaming.hpp"
 #include "core/tiled_inference.hpp"
 #include "data/synthetic.hpp"
-#include "tensor/tensor_ops.hpp"
 
 using namespace sesr;
 
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(core::receptive_field_radius(deployed)));
 
   std::printf("%10s %16s %20s %22s\n", "height", "planned arena*", "streaming peak",
-              "match (< 1e-5)");
+              "bit-identical");
   Rng irng(2);
   int mismatches = 0;
   for (const std::int64_t height : {32L, 64L, 128L, 256L}) {
@@ -36,7 +37,8 @@ int main(int argc, char** argv) {
     Tensor batch_out = deployed.upscale(image);
     const std::int64_t arena = deployed.plan_arena_bytes();
     Tensor stream_out = streamer.upscale(image);
-    const bool match = max_abs_diff(batch_out, stream_out) < 1e-5F;
+    const auto bytes = static_cast<std::size_t>(batch_out.numel()) * sizeof(float);
+    const bool match = std::memcmp(batch_out.raw(), stream_out.raw(), bytes) == 0;
     if (!match) ++mismatches;
     std::printf("%10lld %13.1f KB %17.1f KB %22s\n", static_cast<long long>(height),
                 static_cast<double>(arena) / 1e3,

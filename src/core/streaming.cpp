@@ -4,56 +4,11 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "nn/conv_direct.hpp"
+#include "nn/depth_to_space.hpp"
+#include "tensor/tensor_ops.hpp"
+
 namespace sesr::core {
-
-namespace {
-// One output row of a SAME-padded conv: taps outside [0, H) read zero rows.
-// `rows[t]` is the input row y - r + t (nullptr = zero padding).
-void conv_row(const std::vector<const float*>& rows, std::int64_t width, const Tensor& weight,
-              float* out) {
-  const Shape& ws = weight.shape();
-  const std::int64_t kh = ws.dim(0);
-  const std::int64_t kw = ws.dim(1);
-  const std::int64_t in_c = ws.dim(2);
-  const std::int64_t out_c = ws.dim(3);
-  const std::int64_t rw = kw / 2;
-  std::fill(out, out + width * out_c, 0.0F);
-  for (std::int64_t ky = 0; ky < kh; ++ky) {
-    const float* src = rows[static_cast<std::size_t>(ky)];
-    if (src == nullptr) continue;
-    for (std::int64_t x = 0; x < width; ++x) {
-      float* dst = out + x * out_c;
-      for (std::int64_t kx = 0; kx < kw; ++kx) {
-        const std::int64_t ix = x - rw + kx;
-        if (ix < 0 || ix >= width) continue;
-        const float* pix = src + ix * in_c;
-        const std::int64_t base = (ky * kw + kx) * in_c * out_c;
-        const float* w = weight.raw() + base;
-        for (std::int64_t ic = 0; ic < in_c; ++ic) {
-          const float v = pix[ic];
-          if (v == 0.0F) continue;
-          const float* wc = w + ic * out_c;
-          for (std::int64_t oc = 0; oc < out_c; ++oc) dst[oc] += v * wc[oc];
-        }
-      }
-    }
-  }
-}
-
-void activate_row(const Tensor& alpha, std::int64_t width, std::int64_t channels, float* row) {
-  if (alpha.empty()) {
-    for (std::int64_t i = 0; i < width * channels; ++i) row[i] = row[i] > 0.0F ? row[i] : 0.0F;
-    return;
-  }
-  const float* pa = alpha.raw();
-  for (std::int64_t x = 0; x < width; ++x) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      float& v = row[x * channels + c];
-      if (v <= 0.0F) v *= pa[c];
-    }
-  }
-}
-}  // namespace
 
 const float* StreamingUpscaler::Stream::row(std::int64_t y) const {
   for (const auto& [index, data] : rows) {
@@ -73,9 +28,6 @@ void StreamingUpscaler::Stream::prune(std::int64_t min_needed_row) {
 
 StreamingUpscaler::StreamingUpscaler(const SesrInference& network) : net_(network) {
   for (const CollapsedConv& conv : network.convolutions()) {
-    if (conv.bias) {
-      throw std::invalid_argument("StreamingUpscaler: biased networks not supported");
-    }
     radius_.push_back(conv.weight.shape().dim(0) / 2);
   }
 }
@@ -107,6 +59,8 @@ Tensor StreamingUpscaler::upscale(const Tensor& input) {
   peak_rows_ = 0;
   peak_bytes_ = 0;
   std::int64_t shuffled = 0;  // pre-shuffle rows consumed by depth-to-space
+  std::vector<float> window;  // one conv's kh input rows, reused across rows
+  std::vector<float> shuffle_tmp(static_cast<std::size_t>(width * out_c));
 
   auto try_produce_conv = [&](std::size_t layer) -> bool {
     Stream& src = streams[layer];
@@ -119,34 +73,45 @@ Tensor StreamingUpscaler::upscale(const Tensor& input) {
     // The last conv consumes chain + blue skip; check the skip rows too.
     if (is_last && streams[1].next_row < std::min(height, y + r + 1)) return false;
 
-    const std::int64_t kh = convs[layer].weight.shape().dim(0);
-    std::vector<const float*> rows(static_cast<std::size_t>(kh), nullptr);
-    std::vector<std::vector<float>> combined;  // keeps combined skip rows alive
+    // Gather the kh input rows of output row y into the window (padding rows
+    // read zeros); the last conv's input is the chain plus the blue skip.
+    const CollapsedConv& conv = convs[layer];
+    const Shape& ws = conv.weight.shape();
+    const std::int64_t kh = ws.dim(0);
+    const std::int64_t row_len = width * src.channels;
+    window.resize(static_cast<std::size_t>(kh * row_len));
     for (std::int64_t ky = 0; ky < kh; ++ky) {
+      float* dst_row = window.data() + ky * row_len;
       const std::int64_t iy = y - r + ky;
-      if (iy < 0 || iy >= height) continue;
+      if (iy < 0 || iy >= height) {
+        std::fill(dst_row, dst_row + row_len, 0.0F);
+        continue;
+      }
       const float* base = src.row(iy);
       if (base == nullptr) throw std::logic_error("StreamingUpscaler: source row pruned too early");
+      std::copy(base, base + row_len, dst_row);
       if (is_last) {
         const float* skip = streams[1].row(iy);
         if (skip == nullptr) throw std::logic_error("StreamingUpscaler: skip row pruned too early");
-        std::vector<float> sum(static_cast<std::size_t>(width * src.channels));
-        for (std::size_t i = 0; i < sum.size(); ++i) sum[i] = base[i] + skip[i];
-        combined.push_back(std::move(sum));
-        rows[static_cast<std::size_t>(ky)] = combined.back().data();
-      } else {
-        rows[static_cast<std::size_t>(ky)] = base;
+        add_inplace(dst_row, skip, row_len);
       }
     }
+    // One output row of the production SAME conv: the window is its whole
+    // input (in_h = kh, no vertical padding left to add), and the horizontal
+    // geometry is the full frame's.
+    nn::ConvGeometry g = nn::same_geometry(1, width, src.channels, kh, ws.dim(1));
+    g.in_h = kh;
+    g.pad_top = 0;
+    g.out_h = 1;
+    const nn::Epilogue epi = is_last ? nn::Epilogue{} : net_.activation_epilogue(layer);
     std::vector<float> out(static_cast<std::size_t>(width * dst.channels));
-    conv_row(rows, width, convs[layer].weight, out.data());
-    if (!is_last) activate_row(net_.prelu_alphas().at(layer), width, dst.channels, out.data());
+    nn::conv2d_direct(window.data(), 1, g, conv.weight.raw(), dst.channels,
+                      conv.bias ? conv.bias->raw() : nullptr, is_last ? nullptr : &epi,
+                      out.data());
     if (is_last && net_.config().input_residual) {
       const float* in_row = streams[0].row(y);
       if (in_row == nullptr) throw std::logic_error("StreamingUpscaler: input row pruned too early");
-      for (std::int64_t x = 0; x < width; ++x) {
-        for (std::int64_t c = 0; c < out_c; ++c) out[static_cast<std::size_t>(x * out_c + c)] += in_row[x];
-      }
+      add_input_residual(out.data(), in_row, width, out_c);
     }
     dst.push(y, std::move(out));
     return true;
@@ -157,22 +122,16 @@ Tensor StreamingUpscaler::upscale(const Tensor& input) {
     if (shuffled >= height || pre.next_row <= shuffled) return false;
     const float* row = pre.row(shuffled);
     if (row == nullptr) throw std::logic_error("StreamingUpscaler: pre-shuffle row missing");
-    // depth-to-space (applied twice for x4, composed into one index map).
-    for (std::int64_t x = 0; x < width; ++x) {
-      for (std::int64_t c = 0; c < out_c; ++c) {
-        std::int64_t dy = 0;
-        std::int64_t dx = 0;
-        if (scale == 2) {
-          dy = c / 2;
-          dx = c % 2;
-        } else {  // scale 4: first shuffle block (c / 4), second block (c % 4)
-          const std::int64_t c1 = c / 4;
-          const std::int64_t c2 = c % 4;
-          dy = 2 * (c1 / 2) + c2 / 2;
-          dx = 2 * (c1 % 2) + c2 % 2;
-        }
-        output(0, shuffled * scale + dy, x * scale + dx, 0) = row[x * out_c + c];
-      }
+    // The row's depth-to-space writes HR rows shuffled*scale .. +scale-1,
+    // contiguous in the output; x4 chains two r=2 shuffles through a temp.
+    float* hr = output.raw() + shuffled * scale * width * scale;
+    Shape shape(1, 1, width, out_c);
+    const float* cur = row;
+    for (std::int64_t left = scale; left > 1; left /= 2) {
+      float* dst = left == 2 ? hr : shuffle_tmp.data();
+      nn::depth_to_space_into(cur, shape, 2, dst);
+      shape = Shape(1, shape.h() * 2, shape.w() * 2, shape.c() / 4);
+      cur = dst;
     }
     ++shuffled;
     return true;

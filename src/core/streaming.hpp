@@ -9,11 +9,16 @@
 // buffers: the two long residuals are exactly the streams that must be
 // retained across the pipeline delay, visible here as extra buffered rows.
 //
+// Every row runs on the production kernels: each conv output row is one
+// nn::conv2d_direct call on a window of its kh input rows (bias and
+// activation fused as in the planned forward), the long residuals use the
+// plan's adds, and each pre-shuffle row goes through nn::depth_to_space_into.
+// Each output element therefore sees the full-frame arithmetic, and the
+// result is bit-identical to fp32 SesrInference::upscale (property-tested).
+//
 // It runs fp32 only and is a demonstration, not a serve mode: bounded-memory
 // serving is the tiled path (core/tiled_inference.hpp), whose fixed arena
-// does not grow with the frame. Output equals SesrInference::upscale to float
-// tolerance (property-tested); the summation order differs from the blocked
-// GEMM.
+// does not grow with the frame.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,7 @@ class StreamingUpscaler {
  public:
   explicit StreamingUpscaler(const SesrInference& network);
 
-  // Upscale a (1, H, W, 1) Y image; numerically equal to network.upscale().
+  // Upscale a (1, H, W, 1) Y image; bit-identical to network.upscale().
   // Throws std::invalid_argument unless the network is in kFp32 precision.
   Tensor upscale(const Tensor& input);
 

@@ -34,10 +34,16 @@
 
 namespace sesr::nn {
 
-// `input` holds `batch` NHWC images of g.in_h x g.in_w x g.channels; `g` must
-// be SAME geometry with stride 1. `weight` is HWIO [g.kh][g.kw][g.channels]
-// [out_c]; `bias` (out_c values) and `epi` may be null. `out` receives
-// batch * g.rows() * out_c floats.
+// `input` holds `batch` NHWC images of g.in_h x g.in_w x g.channels. `g` must
+// have stride 1 and be SAME horizontally (out_w == in_w, pad_left as
+// same_geometry sets it); vertically any pad_top and out_h are allowed:
+// output row oy reads input rows oy - pad_top .. oy - pad_top + kh - 1, and
+// rows outside [0, in_h) read as zeros. So a window of input rows with
+// pad_top / out_h chosen to match computes exactly the corresponding rows of
+// the full-frame SAME conv (the streaming upscaler runs one output row per
+// call this way). `weight` is HWIO [g.kh][g.kw][g.channels][out_c]; `bias`
+// (out_c values) and `epi` may be null. `out` receives batch * g.rows() *
+// out_c floats.
 void conv2d_direct(const float* input, std::int64_t batch, const ConvGeometry& g,
                    const float* weight, std::int64_t out_c, const float* bias, const Epilogue* epi,
                    float* out);

@@ -184,21 +184,19 @@ void run_batch(WorkerSession& session, BatchUnit& unit, StatsRecorder& stats) {
 
 void run_tiles(WorkerSession& session, TileUnit& unit, StatsRecorder& stats) {
   TiledJob& job = *unit.job;
-  for (std::size_t t = unit.first_task; t < unit.first_task + unit.task_count; ++t) {
-    const core::TileTask& task = job.tasks[t];
-    try {
-      core::paste_tile(job.output, core::upscale_tile(session.network, job.request.frame, task),
-                       task, session.network.config().scale);
-      stats.on_tile();
-    } catch (...) {
-      if (!job.failed.exchange(true, std::memory_order_acq_rel)) {
-        fail_request(job.request, std::current_exception(), stats);
-      }
+  const core::TileTask& task = job.tasks[unit.task];
+  try {
+    core::paste_tile(job.output, core::upscale_tile(session.network, job.request.frame, task),
+                     task, session.network.config().scale);
+    stats.on_tile();
+  } catch (...) {
+    if (!job.failed.exchange(true, std::memory_order_acq_rel)) {
+      fail_request(job.request, std::current_exception(), stats);
     }
-    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        !job.failed.load(std::memory_order_acquire)) {
-      complete_request(job.request, std::move(job.output), stats);
-    }
+  }
+  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      !job.failed.load(std::memory_order_acquire)) {
+    complete_request(job.request, std::move(job.output), stats);
   }
 }
 

@@ -61,11 +61,10 @@ struct TiledJob {
   std::atomic<bool> failed{false};
 };
 
-// A contiguous run of a TiledJob's tasks (ServeOptions::tiles_per_unit wide).
+// One tile of a TiledJob: the finest cross-request interleaving.
 struct TileUnit {
   std::shared_ptr<TiledJob> job;
-  std::size_t first_task = 0;
-  std::size_t task_count = 1;
+  std::size_t task = 0;
 };
 
 using Unit = std::variant<BatchUnit, TileUnit>;

@@ -26,9 +26,6 @@ void validate(const ServeOptions& o, const NetworkRegistry& registry) {
       (o.tiling.tile_h < 1 || o.tiling.tile_w < 1)) {
     throw std::invalid_argument("EvalServer: tile dims must be positive");
   }
-  if (o.tiles_per_unit < 1) {
-    throw std::invalid_argument("EvalServer: tiles_per_unit must be >= 1");
-  }
 }
 
 // Steady-state LR pixel bound of one worker replica: the larger of a full
@@ -442,10 +439,8 @@ void ShardedServer::dispatch_tiled_job(Shard& shard, const std::shared_ptr<Tiled
   // The job admits against the depth bound once (weight 1); the rest of its
   // fan-out must never block, or this batcher would stall with the queue
   // behind it frozen in FIFO order.
-  for (const core::TileUnitRange& range :
-       core::plan_tile_units(job->tasks.size(), options_.tiles_per_unit)) {
-    if (!dispatch_.push(shard.index, lane, TileUnit{job, range.first, range.count},
-                        first ? 1 : 0)) {
+  for (std::size_t task = 0; task < job->tasks.size(); ++task) {
+    if (!dispatch_.push(shard.index, lane, TileUnit{job, task}, first ? 1 : 0)) {
       dropped = true;
       break;
     }

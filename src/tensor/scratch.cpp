@@ -14,17 +14,6 @@ constexpr std::size_t kSlots = static_cast<std::size_t>(ScratchSlot::kSlotCount)
 // releases capacity) lazily at its next scratch request.
 std::atomic<std::uint64_t> g_trim_epoch{0};
 
-// Process-wide high-water marks, updated only when a thread's buffer grows
-// past the previous global max (rare after warmup, so the CAS loop is cold).
-std::array<std::atomic<std::size_t>, kSlots> g_hw_floats{};
-std::array<std::atomic<std::size_t>, kSlots> g_hw_bytes{};
-
-void raise_high_water(std::atomic<std::size_t>& mark, std::size_t n) {
-  std::size_t seen = mark.load(std::memory_order_relaxed);
-  while (seen < n && !mark.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
-  }
-}
-
 // One thread's buffers for every slot. Each buffer carries the trim epoch it
 // has caught up to, and a stale buffer is released only when THAT buffer is
 // requested again — never as a side effect of touching another slot — so the
@@ -59,10 +48,7 @@ std::span<float> scratch_floats(ScratchSlot slot, std::size_t n) {
   const std::size_t i = static_cast<std::size_t>(slot);
   std::vector<float>& buf = ts.floats[i];
   ThreadScratch::catch_up_trim(buf, ts.float_epoch[i]);
-  if (buf.size() < n) {
-    buf.resize(n);  // never shrinks between trims: capacity is retained
-    raise_high_water(g_hw_floats[i], n);
-  }
+  if (buf.size() < n) buf.resize(n);  // never shrinks between trims: capacity is retained
   return {buf.data(), n};
 }
 
@@ -71,35 +57,11 @@ std::span<std::uint8_t> scratch_bytes(ScratchSlot slot, std::size_t n) {
   const std::size_t i = static_cast<std::size_t>(slot);
   std::vector<std::uint8_t>& buf = ts.bytes[i];
   ThreadScratch::catch_up_trim(buf, ts.byte_epoch[i]);
-  if (buf.size() < n) {
-    buf.resize(n);
-    raise_high_water(g_hw_bytes[i], n);
-  }
+  if (buf.size() < n) buf.resize(n);
   return {buf.data(), n};
 }
 
 void scratch_trim() { g_trim_epoch.fetch_add(1, std::memory_order_relaxed); }
-
-ScratchHighWater scratch_high_water(ScratchSlot slot) {
-  const std::size_t i = static_cast<std::size_t>(slot);
-  return {g_hw_floats[i].load(std::memory_order_relaxed),
-          g_hw_bytes[i].load(std::memory_order_relaxed)};
-}
-
-std::size_t scratch_high_water_bytes() {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    total += scratch_high_water(static_cast<ScratchSlot>(i)).bytes();
-  }
-  return total;
-}
-
-void scratch_reset_high_water() {
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    g_hw_floats[i].store(0, std::memory_order_relaxed);
-    g_hw_bytes[i].store(0, std::memory_order_relaxed);
-  }
-}
 
 std::size_t scratch_thread_retained_bytes() {
   const ThreadScratch& ts = thread_scratch();

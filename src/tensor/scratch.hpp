@@ -57,25 +57,8 @@ std::span<std::uint8_t> scratch_bytes(ScratchSlot slot, std::size_t n);
 // slot: a thread frees a buffer only at that buffer's own next request, so a
 // span handed out before the trim stays valid exactly as long as the ownership
 // rule above already promised — even for a kernel mid-flight when the trim
-// lands. Serve workers call this after finishing an oversized tile fan-out;
-// high-water marks are NOT reset.
+// lands. Serve workers call this after finishing an oversized tile fan-out.
 void scratch_trim();
-
-// Largest request (in elements) ever served for one slot, across all threads
-// since process start (or the last scratch_reset_high_water()).
-struct ScratchHighWater {
-  std::size_t float_elems = 0;
-  std::size_t byte_elems = 0;
-  std::size_t bytes() const { return float_elems * sizeof(float) + byte_elems; }
-};
-ScratchHighWater scratch_high_water(ScratchSlot slot);
-
-// Sum of per-slot high-water bytes — an upper bound on one thread's retained
-// scratch footprint between trims.
-std::size_t scratch_high_water_bytes();
-
-// Test seam: clears all high-water marks.
-void scratch_reset_high_water();
 
 // Bytes currently retained by THIS thread's scratch buffers (both sides of
 // every slot). Test seam for observing trim behaviour.

@@ -144,7 +144,7 @@ TEST(Audit, BuiltinRegistryCoversTheFastPaths) {
   EXPECT_GE(pairs.size(), 8U);
   for (const char* name :
        {"gemm_scalar", "conv2d_striped", "conv2d_direct_vs_gemm", "conv2d_fp16_direct_vs_fp32",
-        "conv2d_winograd", "collapse_linear_block", "conv2d_int8_vs_ref", "int8_network_vs_ref",
+        "collapse_linear_block", "conv2d_int8_vs_ref", "int8_network_vs_ref",
         "planned_vs_unshared", "tiled_inference", "resize_bicubic", "ssim"}) {
     EXPECT_NE(find_pair(name), nullptr) << name;
   }

@@ -3,6 +3,7 @@
 // gradients, transposed conv adjointness, activations, depth-to-space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_direct.hpp"
 #include "nn/conv_transpose.hpp"
 #include "nn/depth_to_space.hpp"
 #include "nn/gemm.hpp"
@@ -591,6 +593,15 @@ struct DirectOperands {
   DirectOperands& operator=(const DirectOperands&) = delete;
 };
 
+// The production SAME conv of one case. No activation goes through the
+// epilogue-free entry points, which is how training forwards and the plan's
+// last conv reach the kernel.
+Tensor same_conv(const DirectCase& c, const DirectOperands& ops) {
+  return c.act != Epilogue::Act::kNone ? conv2d_fused(ops.x, ops.w, ops.b, ops.epi, Padding::kSame)
+         : c.bias                      ? conv2d_bias(ops.x, ops.w, ops.bias, Padding::kSame)
+                                       : conv2d(ops.x, ops.w, Padding::kSame);
+}
+
 TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
   const DirectCase& c = GetParam();
   const DirectOperands ops(c);
@@ -599,7 +610,6 @@ TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
   const Tensor& bias = ops.bias;
   const Tensor& alpha = ops.alpha;
   const Epilogue& epi = ops.epi;
-  const Tensor* b = ops.b;
 
   Tensor naive = conv2d_naive(x, w, Padding::kSame);
   for (std::int64_t i = 0; i < naive.numel(); ++i) {
@@ -625,14 +635,85 @@ TEST_P(DirectConv, MatchesIm2colGemmExactlyAndNaiveClosely) {
     }
     for (unsigned threads : {1U, 4U}) {
       ThreadPool::set_global_threads(threads);
-      // No activation goes through the epilogue-free entry points, which is
-      // how training forwards and the plan's last conv reach the kernel.
-      const Tensor got = c.act != Epilogue::Act::kNone ? conv2d_fused(x, w, b, epi, Padding::kSame)
-                         : c.bias                      ? conv2d_bias(x, w, bias, Padding::kSame)
-                                                       : conv2d(x, w, Padding::kSame);
+      const Tensor got = same_conv(c, ops);
       const char* isa_name = isa == GemmIsa::kAvx2 ? "avx2" : "generic";
       EXPECT_TRUE(bit_equal(got, want)) << isa_name << " threads=" << threads;
       EXPECT_LT(max_abs_diff(got, naive), 1e-5F) << isa_name << " threads=" << threads;
+    }
+  }
+  set_gemm_isa(GemmIsa::kAuto);
+  restore_env_threads();
+}
+
+// Row windows, as the streaming upscaler drives the kernel: conv2d_direct on a
+// slice of input rows, with pad_top / in_h / out_h chosen to cover output rows
+// [y0, y0 + rows), must equal those rows of the full-frame SAME conv bit for
+// bit. Two forms: a clipped slice of the image (partial pad_top at the top,
+// pad_top 0 with out_h < in_h inside, rows past in_h reading zeros at the
+// bottom), and one output row from an explicit kh-row window whose padding
+// rows are staged zeros (in_h = kh, pad_top = 0, out_h = 1).
+TEST_P(DirectConv, RowWindowsMatchFullFrameRowsExactly) {
+  const DirectCase& c = GetParam();
+  const DirectOperands ops(c);
+  const ConvGeometry full = conv_geometry(ops.x, ops.w, Padding::kSame);
+  const float* bias = c.bias ? ops.bias.raw() : nullptr;
+  const Epilogue* epi = c.act != Epilogue::Act::kNone ? &ops.epi : nullptr;
+  const std::int64_t in_row = c.w * c.cin;
+  const std::int64_t out_row = c.w * c.cout;
+  std::vector<float> window(static_cast<std::size_t>(c.k * in_row));
+  std::vector<float> got;
+  for (GemmIsa isa : {GemmIsa::kGeneric, GemmIsa::kAvx2}) {
+    if (!set_gemm_isa(isa)) continue;  // AVX2 absent on this CPU
+    for (unsigned threads : {1U, 4U}) {
+      ThreadPool::set_global_threads(threads);
+      const Tensor want = same_conv(c, ops);
+      const std::string where =
+          std::string(isa == GemmIsa::kAvx2 ? "avx2" : "generic") + " threads=" +
+          std::to_string(threads);
+      const auto expect_rows = [&](std::int64_t n, std::int64_t y0, std::int64_t rows,
+                                   const char* form) {
+        const float* ref = want.raw() + (n * c.h + y0) * out_row;
+        EXPECT_EQ(std::memcmp(got.data(), ref,
+                              static_cast<std::size_t>(rows * out_row) * sizeof(float)),
+                  0)
+            << form << " n=" << n << " y0=" << y0 << " rows=" << rows << " " << where;
+      };
+      for (std::int64_t n = 0; n < c.batch; ++n) {
+        const float* image = ops.x.raw() + n * c.h * in_row;
+        for (std::int64_t step : {1, 4}) {
+          for (std::int64_t y0 = 0; y0 < c.h; y0 += step) {
+            const std::int64_t rows = std::min(step, c.h - y0);
+            const std::int64_t top = y0 - full.pad_top;  // input row of staged row 0
+            const std::int64_t lo = std::max<std::int64_t>(0, top);
+            const std::int64_t hi = std::min(c.h, top + rows + c.k - 1);
+            ConvGeometry g = full;
+            g.in_h = hi - lo;
+            g.pad_top = lo - top;
+            g.out_h = rows;
+            got.assign(static_cast<std::size_t>(rows * out_row), 0.0F);
+            conv2d_direct(image + lo * in_row, 1, g, ops.w.raw(), c.cout, bias, epi, got.data());
+            expect_rows(n, y0, rows, "slice");
+          }
+        }
+        for (std::int64_t y = 0; y < c.h; ++y) {
+          for (std::int64_t ky = 0; ky < c.k; ++ky) {
+            const std::int64_t iy = y - full.pad_top + ky;
+            float* dst = window.data() + ky * in_row;
+            if (iy < 0 || iy >= c.h) {
+              std::fill(dst, dst + in_row, 0.0F);
+            } else {
+              std::copy(image + iy * in_row, image + (iy + 1) * in_row, dst);
+            }
+          }
+          ConvGeometry g = full;
+          g.in_h = c.k;
+          g.pad_top = 0;
+          g.out_h = 1;
+          got.assign(static_cast<std::size_t>(out_row), 0.0F);
+          conv2d_direct(window.data(), 1, g, ops.w.raw(), c.cout, bias, epi, got.data());
+          expect_rows(n, y, 1, "window");
+        }
+      }
     }
   }
   set_gemm_isa(GemmIsa::kAuto);

@@ -388,17 +388,5 @@ TEST(ScratchTrim, TrimIsDeferredToTheSlotsNextRequest) {
             before - ((std::size_t{1} << 16) - 16) * sizeof(float));
 }
 
-TEST(ScratchTrim, HighWaterRecordsLargestRequestAcrossTrims) {
-  scratch_reset_high_water();
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 1234);
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 10);
-  scratch_trim();
-  (void)scratch_floats(ScratchSlot::kGemmPackA, 10);  // applies the trim
-  // The mark survives the trim: it reports the largest request ever served,
-  // not the currently retained capacity.
-  EXPECT_GE(scratch_high_water(ScratchSlot::kGemmPackA).float_elems, std::size_t{1234});
-  EXPECT_GE(scratch_high_water_bytes(), 1234 * sizeof(float));
-}
-
 }  // namespace
 }  // namespace sesr::core::plan

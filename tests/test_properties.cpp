@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 
@@ -137,9 +138,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 class StreamingEquivalence : public ::testing::TestWithParam<NetConfig> {};
 
+// Streaming runs the full frame's kernels row by row, so the comparison is
+// bit for bit, biased nets included.
 TEST_P(StreamingEquivalence, RowPipelineEqualsBatch) {
   const auto [f, m, scl, prelu, in_res, short_res, bias, expanded] = GetParam();
-  if (bias) GTEST_SKIP() << "streaming does not support biased nets";
   core::SesrConfig cfg;
   cfg.f = f;
   cfg.m = m;
@@ -148,15 +150,24 @@ TEST_P(StreamingEquivalence, RowPipelineEqualsBatch) {
   cfg.prelu = prelu;
   cfg.input_residual = in_res;
   cfg.short_residuals = short_res;
+  cfg.with_bias = bias;
   cfg.mode = expanded ? core::BlockMode::kExpanded : core::BlockMode::kCollapsedForward;
   Rng rng(103);
   core::SesrNetwork net(cfg, rng);
+  for (nn::Parameter* p : net.parameters()) {  // biases start at zero; make them count
+    if (p->name.ends_with(".bias")) p->value.fill_uniform(rng, -0.2F, 0.2F);
+  }
   core::SesrInference deployed(net);
   core::StreamingUpscaler streamer(deployed);
   Rng xrng(107);
   Tensor x(1, 11, 13, 1);  // odd dims stress the row pipeline
   x.fill_uniform(xrng, 0.0F, 1.0F);
-  EXPECT_LT(max_abs_diff(streamer.upscale(x), deployed.upscale(x)), 1e-5F);
+  const Tensor got = streamer.upscale(x);
+  const Tensor want = deployed.upscale(x);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(
+      std::memcmp(got.raw(), want.raw(), static_cast<std::size_t>(got.numel()) * sizeof(float)),
+      0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,7 +177,11 @@ INSTANTIATE_TEST_SUITE_P(
                       NetConfig{4, 2, 4, true, true, true, false, false},
                       NetConfig{4, 2, 2, false, false, true, false, false},
                       NetConfig{4, 2, 2, true, true, false, false, false},
-                      NetConfig{6, 4, 2, true, false, true, false, false}));
+                      NetConfig{6, 4, 2, true, false, true, false, false},
+                      NetConfig{4, 2, 2, true, true, true, true, false},     // with biases
+                      NetConfig{4, 2, 4, false, false, true, true, true},    // everything odd
+                      NetConfig{4, 0, 2, true, true, true, true, false},     // m = 0
+                      NetConfig{8, 5, 4, true, true, true, true, false}));  // deep x4
 
 // ------------------ metric invariances under dihedral moves ------------------
 
@@ -208,7 +223,7 @@ TEST(DeploymentAgreement, BatchTiledAndStreamingCoincide) {
   Tensor tiled = core::upscale_tiled(deployed, image, tiles);
   Tensor streamed = streamer.upscale(image);
   EXPECT_LT(max_abs_diff(batch, tiled), 1e-5F);
-  EXPECT_LT(max_abs_diff(batch, streamed), 1e-5F);
+  EXPECT_EQ(max_abs_diff(batch, streamed), 0.0F);  // same kernels, row by row
 }
 
 // ------------- tiled-inference edge cases the eval server dispatches ---------

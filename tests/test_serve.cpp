@@ -654,19 +654,6 @@ TEST(NetworkRegistry, AddRejectsQuantizedRoutesWithoutCalibrationOrPlan) {
   EXPECT_EQ(registry.size(), 2U);
 }
 
-TEST(PlanTileUnits, PartitionsTasksIntoContiguousRanges) {
-  const auto units = core::plan_tile_units(10, 3);
-  ASSERT_EQ(units.size(), 4U);
-  EXPECT_EQ(units[0].first, 0U);
-  EXPECT_EQ(units[0].count, 3U);
-  EXPECT_EQ(units[3].first, 9U);
-  EXPECT_EQ(units[3].count, 1U);
-  EXPECT_EQ(core::plan_tile_units(10, 0).size(), 10U);  // <1 treated as 1
-  ASSERT_EQ(core::plan_tile_units(5, 100).size(), 1U);
-  EXPECT_EQ(core::plan_tile_units(5, 100)[0].count, 5U);
-  EXPECT_TRUE(core::plan_tile_units(0, 3).empty());
-}
-
 // ------------------------------------------------------------ ShardedServer
 
 TEST(ShardedServer, MultiNetworkRoutingBitIdentical) {
